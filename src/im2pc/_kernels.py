@@ -1,8 +1,9 @@
 """Numba-compiled inner loops for the samplers.
 
-Selected at import time by backend(); IM2PC_BACKEND=numpy forces the pure
-numpy path (see sampling.py). Both paths order candidates by (distance,
-index) with identical float64 arithmetic, so their outputs are identical.
+Selected at import time by backend(): IM2PC_BACKEND=numpy forces the pure
+numpy path (see sampling.py); any other value uses numba when it imports.
+Both paths order candidates by (distance, index) with the same float64
+arithmetic. Without numba the functions below stay plain Python.
 """
 
 from __future__ import annotations

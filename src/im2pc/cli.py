@@ -51,6 +51,13 @@ def cmd_gen(args):
     return 0
 
 
+def _print_epoch(epoch, loss, rre, rte):
+    line = f"epoch {epoch}: loss={loss:.4f}"
+    if rre is not None:  # None on epochs without a holdout evaluation
+        line += f" rre={rre:.3f} rte={rte:.3f}"
+    print(line)
+
+
 def cmd_train(args):
     cfg = TrainConfig()
     if args.config:
@@ -59,8 +66,7 @@ def cmd_train(args):
     model = RegistrationNet(desk_config(), seed=cfg.seed)
     log_path = args.out + ".log.csv"
     best, _ = run_train(model, scenes, cfg, args.out, log_path=log_path,
-                        log_fn=lambda e, l, rre, rte: print(
-                            f"epoch {e}: loss={l:.4f} rre={rre:.3f} rte={rte:.3f}"))
+                        log_fn=_print_epoch)
     print(f"best holdout RTE {best:.6f}; checkpoint {args.out}; log {log_path}")
     return 0
 
@@ -100,8 +106,11 @@ def cmd_infer(args):
     model = _load_model(args.ckpt)
     cloud = load_kitti_bin(args.cloud)
     image = read_ppm(args.image)
-    kv = parse_kv_file(args.intrinsics)
-    K = CameraIntrinsics(float(kv["fx"]), float(kv["fy"]), float(kv["cx"]), float(kv["cy"]))
+    try:
+        kv = parse_kv_file(args.intrinsics)
+        K = CameraIntrinsics(*(float(kv[key]) for key in ("fx", "fy", "cx", "cy")))
+    except (KeyError, ValueError) as e:
+        raise MalformedFile(f"{args.intrinsics}: bad intrinsics: {e!r}") from e
     coarse, fine = model(cloud, image, K, train=False)
     for tag, pose in (("coarse", coarse.pose), ("fine", fine.pose)):
         q = " ".join(f"{c:.9f}" for c in pose.q)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ModeMismatch, NoCandidates
+from .errors import NoCandidates
 from .geometry import DEFAULT_Z_MIN, SphericalConfig
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
@@ -152,20 +152,13 @@ class CostVolumeModule(Module):
         w = logits.softmax(axis=1)
         return (h * w).sum(axis=1)                           # (N, ic_dim)
 
-    def query_inverse_similarity(self, f: Tensor, g: Tensor) -> Tensor:
-        if self.spec.mode != "all":
-            raise ModeMismatch("inverse similarity is an all-to-all construct")
-        fa = self.align(f) if self.align is not None else f
-        return inverse_similarity(fa, g)
-
     # -- LST embedding ------------------------------------------------------
 
     def lst_embed(self, pos_t: Tensor, spherical: np.ndarray, f: Tensor,
-                  ic: Tensor, cfg: SphericalConfig, train: bool,
-                  use_fps: bool = False) -> Tensor:
+                  ic: Tensor, cfg: SphericalConfig, train: bool) -> Tensor:
         N = pos_t.shape[0]
         k2 = min(self.spec.k2, N)
-        if use_fps or spherical is None:
+        if spherical is None:
             idx, mask = brute_force_knn(pos_t.data, pos_t.data, k2, self.spec.lst_dist)
         else:
             cloud = PointCloud(pos_t.data, np.zeros((N, 1)), spherical=spherical)
@@ -187,8 +180,8 @@ class CostVolumeModule(Module):
 
     def __call__(self, pos_t: Tensor, spherical: Optional[np.ndarray], f: Tensor,
                  img: FeatureImage, cfg: SphericalConfig, train: bool,
-                 level: int, point_ref: PointCloud, use_fps: bool = False,
+                 level: int, point_ref: PointCloud,
                  z_min: float = DEFAULT_Z_MIN) -> CostVolume:
         ic = self.ic_generate(pos_t, f, img, train, z_min=z_min)
-        e = self.lst_embed(pos_t, spherical, f, ic, cfg, train, use_fps=use_fps)
+        e = self.lst_embed(pos_t, spherical, f, ic, cfg, train)
         return CostVolume(e, level, point_ref)

@@ -158,7 +158,12 @@ def read_ppm(path) -> np.ndarray:
     parts = raw.split(b"\n", 3)
     if parts[0] != b"P6" or len(parts) < 4:
         raise MalformedFile(f"{path}: not a binary P6 ppm")
-    W, H = (int(t) for t in parts[1].split())
+    try:
+        W, H = (int(t) for t in parts[1].split())
+    except ValueError as e:  # a comment line or a malformed size line
+        raise MalformedFile(f"{path}: bad P6 ppm size line: {e}") from e
+    if W < 1 or H < 1 or len(parts[3]) < H * W * 3:
+        raise MalformedFile(f"{path}: {W}x{H} P6 ppm with {len(parts[3])} pixel bytes")
     data = np.frombuffer(parts[3], dtype=np.uint8, count=H * W * 3)
     return data.reshape(H, W, 3).astype(np.float64) / 255.0
 

@@ -46,10 +46,6 @@ class TooFewPoints(Im2pcError):
     pass
 
 
-class ModeMismatch(Im2pcError):
-    pass
-
-
 class NoCandidates(Im2pcError):
     pass
 

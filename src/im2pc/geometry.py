@@ -12,18 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import NotARotation, ZeroNoise, ZeroRange, BehindCamera
 
 DEFAULT_Z_MIN = 1e-3
 
 
-def _canonical_sign(q: np.ndarray) -> np.ndarray:
+def canonical_sign(q: np.ndarray) -> float:
+    """The factor (+1 or -1) that gives q the canonical sign."""
     for c in q:
         if c > 0.0:
-            return q
+            return 1.0
         if c < 0.0:
-            return -q
-    return q
+            return -1.0
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class PoseQT:
         n = np.linalg.norm(q)
         if n == 0.0:
             raise ZeroRange("zero quaternion")
-        q = _canonical_sign(q / n)
-        object.__setattr__(self, "q", q)
+        q = q / n
+        object.__setattr__(self, "q", q * canonical_sign(q))
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64).reshape(3).copy())
 
     @staticmethod
@@ -55,7 +57,7 @@ class PoseQT:
 
     def inverse(self) -> "PoseQT":
         qc = self.q * np.array([1.0, -1.0, -1.0, -1.0])
-        return PoseQT(qc, -_quat_rotate(qc, self.t[None, :])[0])
+        return PoseQT(qc, -quat_rotate(qc, self.t[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -117,31 +119,40 @@ class SphericalConfig:
             raise ValueError(f"unknown sensor frame {self.frame!r}")
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
+def _stack(parts, axis=0):
+    """Lets one quaternion algebra serve numpy arrays and autodiff Tensors."""
+    if isinstance(parts[0], ad.Tensor):
+        return ad.stack(parts, axis=axis)
+    return np.stack(parts, axis=axis)
 
 
-def _quat_rotate(q: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # p' = q p q^-1 expanded to the two-cross-product form
-    w = q[0]
-    v = q[1:]
-    uv = np.cross(v, points)
-    uuv = np.cross(v, uv)
+def quat_mul(a, b):
+    w1, x1, y1, z1 = a[0], a[1], a[2], a[3]
+    w2, x2, y2, z2 = b[0], b[1], b[2], b[3]
+    return _stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def quat_rotate(q, points):
+    """Rotate (N, 3) points by the unit quaternion, p + 2(w(vxp) + vx(vxp))."""
+    w, x, y, z = q[0], q[1], q[2], q[3]
+
+    def v_cross(p):
+        px, py, pz = p[:, 0], p[:, 1], p[:, 2]
+        return _stack([y * pz - z * py, z * px - x * pz, x * py - y * px], axis=1)
+
+    uv = v_cross(points)
+    uuv = v_cross(uv)
     return points + 2.0 * (w * uv + uuv)
 
 
 def pose_compose(outer: PoseQT, inner: PoseQT) -> PoseQT:
     """Apply `inner` first, then `outer`."""
-    return PoseQT(_quat_mul(outer.q, inner.q), _quat_rotate(outer.q, inner.t[None, :])[0] + outer.t)
+    return PoseQT(quat_mul(outer.q, inner.q), quat_rotate(outer.q, inner.t[None, :])[0] + outer.t)
 
 
 def pose_apply(pose: PoseQT, points: np.ndarray) -> np.ndarray:
@@ -149,7 +160,7 @@ def pose_apply(pose: PoseQT, points: np.ndarray) -> np.ndarray:
     squeeze = points.ndim == 1
     if squeeze:
         points = points[None, :]
-    out = _quat_rotate(pose.q, points) + pose.t
+    out = quat_rotate(pose.q, points) + pose.t
     return out[0] if squeeze else out
 
 

@@ -53,7 +53,6 @@ class FeatureNorm(Module):
                 (f"{self.name}.running_var", self, "running_var")]
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        axes = tuple(range(x.data.ndim - 1))
         if train:
             flat = x.reshape(-1, x.shape[-1])
             mu = flat.mean(axis=0, keepdims=True)
@@ -66,7 +65,6 @@ class FeatureNorm(Module):
             xn = xn.reshape(*x.shape)
         else:
             xn = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + NORM_EPS))
-        del axes
         return xn * self.gamma.tensor + self.beta.tensor
 
 

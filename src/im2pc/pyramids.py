@@ -14,7 +14,7 @@ from .geometry import CameraIntrinsics, SphericalConfig
 from .nn_blocks import ConvBlock, Linear, SharedMlp
 from .params import Module
 from .sampling import (GroupingSpec, PointCloud, brute_force_knn, cell_sample,
-                       farthest_point_sample, projection_aware_knn, stride_sample)
+                       farthest_point_sample, projection_aware_knn)
 
 
 @dataclass
@@ -85,6 +85,16 @@ def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
     return ad.concat([feats, Tensor(offsets)], axis=2)
 
 
+def knn_group(centers: PointCloud, candidates: PointCloud, spec: GroupingSpec,
+              cfg: SphericalConfig):
+    """Projection-aware KNN on the spherical grid, or brute-force KNN when
+    neither cloud carries spherical coordinates (the FPS strategy)."""
+    if centers.spherical is None and candidates.spherical is None:
+        return brute_force_knn(centers.positions, candidates.positions,
+                               spec.k, spec.max_dist)
+    return projection_aware_knn(centers, candidates, spec, cfg)
+
+
 class SetAbstraction(Module):
     """Group -> shared MLP -> per-group max-pool (one pyramid level)."""
 
@@ -93,12 +103,12 @@ class SetAbstraction(Module):
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
     def __call__(self, cloud: PointCloud, cfg: SphericalConfig, train: bool,
-                 use_fps: bool = False, fps_seed: int = 0,
                  strides: tuple | None = None):
-        if use_fps:
+        if cloud.spherical is None:
             sh, sw = self.spec.strides   # per-level reduction ratio
             m = max(1, cloud.count // (sh * sw))
-            centers_idx = farthest_point_sample(cloud, m, fps_seed)
+            # seeded by the level index, so each level starts elsewhere
+            centers_idx = farthest_point_sample(cloud, m, cloud.level)
         else:
             centers_idx = cell_sample(
                 cloud, self.spec.strides if strides is None else strides)
@@ -108,11 +118,7 @@ class SetAbstraction(Module):
         center_sph = None if cloud.spherical is None else cloud.spherical[centers_idx]
         centers = PointCloud(center_pos, np.zeros((centers_idx.size, 1)),
                              spherical=center_sph, level=cloud.level + 1)
-        if use_fps:
-            idx, _mask = brute_force_knn(center_pos, cloud.positions,
-                                         self.spec.k, self.spec.max_dist)
-        else:
-            idx, _mask = projection_aware_knn(centers, cloud, self.spec, cfg)
+        idx, _mask = knn_group(centers, cloud, self.spec, cfg)
         grouped = gather_group(cloud.features, cloud.positions, idx, center_pos)
         pooled = self.mlp(grouped, train).max(axis=1)
         out = PointCloud(center_pos, pooled, spherical=center_sph, level=cloud.level + 1)
@@ -127,8 +133,7 @@ class PointPyramid(Module):
             self.levels.append(SetAbstraction(f"{name}.l{li + 1}", d, dims, spec, rng))
             d = dims[-1]
 
-    def __call__(self, cloud: PointCloud, cfg: SphericalConfig, train: bool,
-                 use_fps: bool = False, fps_seed: int = 0):
+    def __call__(self, cloud: PointCloud, cfg: SphericalConfig, train: bool):
         out = [cloud]
         cum_h, cum_w = 1, 1
         for li, level in enumerate(self.levels):
@@ -137,9 +142,7 @@ class PointPyramid(Module):
             sh, sw = level.spec.strides
             cum_h *= sh
             cum_w *= sw
-            nxt, _, _ = level(out[-1], cfg, train, use_fps=use_fps,
-                              fps_seed=fps_seed * 31 + li,
-                              strides=(cum_h, cum_w))
+            nxt, _, _ = level(out[-1], cfg, train, strides=(cum_h, cum_w))
             out.append(nxt)
         return out
 
@@ -151,15 +154,10 @@ class ContextGather(Module):
         self.spec = spec
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
-    def __call__(self, cv: Tensor, cloud: PointCloud, cfg: SphericalConfig, train: bool,
-                 use_fps: bool = False):
+    def __call__(self, cv: Tensor, cloud: PointCloud, cfg: SphericalConfig, train: bool):
         if cv.shape[0] != cloud.count:
             raise IndexMismatch(f"{cv.shape[0]} cost volumes vs {cloud.count} points")
-        if use_fps:
-            idx, _ = brute_force_knn(cloud.positions, cloud.positions,
-                                     self.spec.k, self.spec.max_dist)
-        else:
-            idx, _ = projection_aware_knn(cloud, cloud, self.spec, cfg)
+        idx, _ = knn_group(cloud, cloud, self.spec, cfg)
         grouped = gather_group(cv, cloud.positions, idx, cloud.positions)
         return self.mlp(grouped, train).max(axis=1)
 
@@ -176,14 +174,10 @@ class Upsample(Module):
 
     def __call__(self, coarse_vals: Tensor, coarse_cloud: PointCloud,
                  fine_cloud: PointCloud, fine_feats: Tensor,
-                 cfg: SphericalConfig, train: bool, use_fps: bool = False):
+                 cfg: SphericalConfig, train: bool):
         if coarse_vals.shape[0] != coarse_cloud.count:
             raise IndexMismatch("coarse values misaligned with coarse points")
-        if use_fps:
-            idx, _ = brute_force_knn(fine_cloud.positions, coarse_cloud.positions,
-                                     self.spec.k, self.spec.max_dist)
-        else:
-            idx, _ = projection_aware_knn(fine_cloud, coarse_cloud, self.spec, cfg)
+        idx, _ = knn_group(fine_cloud, coarse_cloud, self.spec, cfg)
         grouped = gather_group(coarse_vals, coarse_cloud.positions, idx,
                                fine_cloud.positions)
         pooled = self.mlp(grouped, train).max(axis=1)

@@ -13,40 +13,12 @@ from .autodiff import Tensor
 from .config import ModelConfig
 from .cost_volume import CostVolumeModule
 from .errors import DegenerateQuaternion, ShapeMismatch
-from .geometry import CameraIntrinsics, PoseQT, spherical_project_many
+from .geometry import (CameraIntrinsics, PoseQT, canonical_sign, quat_mul, quat_rotate,
+                       spherical_project_many)
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import ContextGather, ImagePyramid, PointPyramid, Upsample
 from .sampling import PointCloud
-
-
-# -- differentiable quaternion algebra --------------------------------------
-
-def quat_mul_t(a: Tensor, b: Tensor) -> Tensor:
-    w1, x1, y1, z1 = a[0], a[1], a[2], a[3]
-    w2, x2, y2, z2 = b[0], b[1], b[2], b[3]
-    return ad.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
-
-
-def quat_rotate_t(q: Tensor, points: Tensor) -> Tensor:
-    """Rotate (N, 3) points by the unit quaternion, p + 2(w(vxp) + vx(vxp))."""
-    w = q[0].reshape(1, 1)
-    v = ad.stack([q[1], q[2], q[3]]).reshape(1, 3)
-
-    def cross(a, b):
-        ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
-        bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
-        return ad.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
-
-    vb = v.broadcast_to(points.shape)
-    uv = cross(vb, points)
-    uuv = cross(vb, uv)
-    return points + 2.0 * (w * uv + uuv)
 
 
 def quat_normalize_t(q: Tensor) -> Tensor:
@@ -55,12 +27,7 @@ def quat_normalize_t(q: Tensor) -> Tensor:
         raise DegenerateQuaternion("quaternion norm below 1e-12")
     q = q / n
     # canonical sign is piecewise constant, so a data-derived factor is safe
-    sign = 0.0
-    for c in q.data:
-        if c != 0.0:
-            sign = 1.0 if c > 0.0 else -1.0
-            break
-    return q * (sign if sign != 0.0 else 1.0)
+    return q * canonical_sign(q.data)
 
 
 @dataclass
@@ -140,14 +107,17 @@ class RegistrationNet(Module):
     # -- stages -------------------------------------------------------------
 
     def extract(self, cloud: PointCloud, image, K: CameraIntrinsics, train: bool):
+        """Image and point pyramids. Without spherical coordinates (the FPS
+        strategy) every layer below samples by FPS and groups by brute force."""
         cfg = self.cfg
-        if cloud.spherical is None and not cfg.use_fps:
+        if cfg.use_fps:
+            cloud = PointCloud(cloud.positions, cloud.features, level=cloud.level)
+        elif cloud.spherical is None:
             sph = spherical_project_many(cloud.positions, cfg.spherical)
             cloud = PointCloud(cloud.positions, cloud.features, spherical=sph,
                                level=cloud.level)
         img_levels = self.image_pyramid(ad.as_tensor(image), K, train)
-        point_levels = self.point_pyramid(cloud, cfg.spherical, train,
-                                          use_fps=cfg.use_fps)
+        point_levels = self.point_pyramid(cloud, cfg.spherical, train)
         return img_levels, point_levels
 
     def run_coarse(self, img_levels, point_levels, train: bool,
@@ -157,9 +127,8 @@ class RegistrationNet(Module):
         pos4 = Tensor(cloud4.positions)
         cv4 = self.cv_coarse(pos4, cloud4.spherical, cloud4.features, img_levels[2],
                              cfg.spherical, train, level=4, point_ref=cloud4,
-                             use_fps=cfg.use_fps, z_min=cfg.z_min)
-        e4new = self.context(cv4.entries, cloud4, cfg.spherical, train,
-                             use_fps=cfg.use_fps)
+                             z_min=cfg.z_min)
+        e4new = self.context(cv4.entries, cloud4, cfg.spherical, train)
         m4 = self.mask_coarse(ad.concat([e4new, cloud4.features], axis=1), train)
         q4, t4 = self.regress_coarse(e4new, m4, cfg.dropout, train, rng)
         return StageOutput(PoseQT(q4.data, t4.data), q4, t4, e4new, m4)
@@ -169,23 +138,23 @@ class RegistrationNet(Module):
         cfg = self.cfg
         cloud3 = point_levels[3]
         cloud4 = point_levels[4]
-        warped = quat_rotate_t(coarse.q_t, Tensor(cloud3.positions)) + \
+        warped = quat_rotate(coarse.q_t, Tensor(cloud3.positions)) + \
             coarse.t_t.reshape(1, 3)
         sph_w = None
-        if not cfg.use_fps:
+        if cloud3.spherical is not None:
             sph_w = spherical_project_many(warped.data, cfg.spherical)
         cv3 = self.cv_fine(warped, sph_w, cloud3.features, img_levels[2],
                            cfg.spherical, train, level=3, point_ref=cloud3,
-                           use_fps=cfg.use_fps, z_min=cfg.z_min)
+                           z_min=cfg.z_min)
         ue3 = self.up_e(coarse.cost_volume, cloud4, cloud3, cloud3.features,
-                        cfg.spherical, train, use_fps=cfg.use_fps)
+                        cfg.spherical, train)
         um3 = self.up_m(coarse.mask_logits, cloud4, cloud3, cloud3.features,
-                        cfg.spherical, train, use_fps=cfg.use_fps)
+                        cfg.spherical, train)
         oe3 = self.oe_mlp(ad.concat([cv3.entries, ue3, cloud3.features], axis=1), train)
         m3 = self.mask_fine(ad.concat([oe3, um3, cloud3.features], axis=1), train)
         dq, dt = self.regress_fine(oe3, m3, cfg.dropout, train, rng)
-        q3 = quat_normalize_t(quat_mul_t(dq, coarse.q_t))
-        t3 = quat_rotate_t(dq, coarse.t_t.reshape(1, 3)).reshape(3) + dt
+        q3 = quat_normalize_t(quat_mul(dq, coarse.q_t))
+        t3 = quat_rotate(dq, coarse.t_t.reshape(1, 3)).reshape(3) + dt
         return StageOutput(PoseQT(q3.data, t3.data), q3, t3, oe3, m3)
 
     def __call__(self, cloud: PointCloud, image, K: CameraIntrinsics,

@@ -1,6 +1,6 @@
 """Point-set downsampling and neighborhood queries.
 
-stride_sample and projection-aware KNN follow the spherical-grid scheme:
+cell_sample and projection-aware KNN follow the spherical-grid scheme:
 the azimuth axis wraps modulo W, elevation clamps. The numba kernels in
 _kernels.py accelerate the inner loops; IM2PC_BACKEND=numpy selects the
 pure numpy path, which pads k > candidate count exactly as the kernel does.
@@ -56,28 +56,11 @@ class GroupingSpec:
             raise ValueError("max_dist must be positive")
 
 
-def stride_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
-    """Indices of points on the stride lattice, first-in-order per cell."""
-    if cloud.spherical is None:
-        raise MissingSpherical("stride_sample needs spherical coordinates")
-    sh, sw = strides
-    u, v = cloud.spherical[:, 0], cloud.spherical[:, 1]
-    on_lattice = np.flatnonzero((u % sw == 0) & (v % sh == 0))
-    cells = {}
-    keep = []
-    for i in on_lattice:
-        cell = (u[i], v[i])
-        if cell not in cells:
-            cells[cell] = True
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
-
-
 def cell_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
     """First-in-order representative per sh x sw cell of the spherical grid.
 
-    Unlike stride_sample this keeps one point from every occupied coarse
-    cell, so the result is never empty for a non-empty cloud.
+    Every occupied coarse cell keeps one point, so the result is never empty
+    for a non-empty cloud.
     """
     if cloud.spherical is None:
         raise MissingSpherical("cell_sample needs spherical coordinates")

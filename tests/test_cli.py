@@ -111,6 +111,18 @@ class TestTrainEval:
         assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
+    def test_train_with_sparse_holdout_evaluation(self, trained, tmp_path, capsys):
+        # epochs without a holdout evaluation log the loss alone
+        data, _, _ = trained
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=3\neval_every=2\nholdout_frac=0.34\n")
+        code, out, _ = run(capsys, "train", "--data", data, "--config", str(cfg),
+                           "--out", str(tmp_path / "m.ckpt"))
+        assert code == 0
+        epochs = [l for l in out.splitlines() if l.startswith("epoch")]
+        assert [("rre=" in l) for l in epochs] == [True, False, True]
+
+
 class TestBench:
     def test_bench_knn_matches(self, capsys):
         code, out, _ = run(capsys, "bench-knn", "--n", "300", "--trials", "2",
@@ -140,6 +152,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--data", data,
                            "--ckpt", str(bad), "--out", str(tmp_path / "r"))
         assert code == 3
+
+
+INTRINSICS = "fx=40.0\nfy=40.0\ncx=32.0\ncy=16.0\n"
+BAD_INFER_INPUTS = {  # case: (intrinsics text, edit of the image bytes)
+    "intrinsics_missing_fy": ("fx=40.0\ncx=32.0\ncy=16.0\n", None),
+    "intrinsics_fx_not_a_number": (INTRINSICS.replace("fx=40.0", "fx=abc"), None),
+    "intrinsics_non_positive_focal": (INTRINSICS.replace("fy=40.0", "fy=-1"), None),
+    "ppm_header_comment": (INTRINSICS, lambda b: b.replace(b"P6\n", b"P6\n# by hand\n", 1)),
+    "ppm_truncated": (INTRINSICS, lambda b: b[:100]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INFER_INPUTS))
+def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
+    data, ckpt, _ = trained
+    scene = os.path.join(data, "scene_0000")
+    intrinsics, edit_image = BAD_INFER_INPUTS[case]
+    intr = tmp_path / "intr.txt"
+    intr.write_text(intrinsics)
+    image = tmp_path / "image.ppm"
+    raw = open(os.path.join(scene, "image.ppm"), "rb").read()
+    image.write_bytes(edit_image(raw) if edit_image else raw)
+    code, _, err = run(capsys, "infer", "--ckpt", ckpt,
+                       "--cloud", os.path.join(scene, "cloud.bin"),
+                       "--image", str(image), "--intrinsics", str(intr))
+    assert code == 3
+    assert "data error" in err
 
 
 class TestConfigFile:

@@ -6,7 +6,7 @@ import pytest
 
 import im2pc.cost_volume as CV
 from im2pc.autodiff import Tensor
-from im2pc.errors import ModeMismatch, NoCandidates
+from im2pc.errors import NoCandidates
 from im2pc.geometry import CameraIntrinsics, SphericalConfig, spherical_project_many
 from im2pc.pyramids import FeatureImage, cell_centers
 from im2pc.sampling import PointCloud
@@ -154,13 +154,6 @@ class TestModuleInvariances:
         perm = rng.permutation(7)
         out = mod.ic_generate(Tensor(pos[perm]), Tensor(f[perm]), img, train=False).data
         np.testing.assert_allclose(out, base[perm], atol=1e-11)
-
-    def test_inverse_similarity_mode_guard(self):
-        rng = np.random.default_rng(9)
-        mod = make_module(rng, mode="knn")
-        with pytest.raises(ModeMismatch):
-            mod.query_inverse_similarity(Tensor(np.zeros((2, 6))),
-                                         Tensor(np.zeros((3, 6))))
 
     def test_align_projects_mismatched_widths(self):
         rng = np.random.default_rng(10)

@@ -7,7 +7,7 @@ import im2pc.pyramids as P
 from im2pc.autodiff import Tensor
 from im2pc.errors import IndexMismatch
 from im2pc.geometry import CameraIntrinsics, SphericalConfig, spherical_project_many
-from im2pc.sampling import GroupingSpec, PointCloud
+from im2pc.sampling import GroupingSpec, PointCloud, brute_force_knn, farthest_point_sample
 from util import finite_diff, rel_err
 
 
@@ -79,10 +79,17 @@ class TestSetAbstraction:
 
     def test_fps_path_count(self):
         rng = np.random.default_rng(3)
-        cloud = make_cloud(rng, 64)
+        # a cloud without spherical coordinates takes FPS + brute-force KNN
+        full = make_cloud(rng, 64)
+        cloud = PointCloud(full.positions, full.features, level=1)
         sa = P.SetAbstraction("sa", 4, (8,), GroupingSpec(4, (3, 5), 50.0, (2, 2)), rng)
-        out, centers_idx, _ = sa(cloud, CFG, train=False, use_fps=True, fps_seed=1)
+        out, centers_idx, idx = sa(cloud, CFG, train=False)
         assert out.count == 16  # 64 // (2 * 2)
+        assert out.spherical is None and out.level == 2
+        # FPS is seeded by the level index
+        np.testing.assert_array_equal(centers_idx, farthest_point_sample(cloud, 16, seed=1))
+        bidx, _ = brute_force_knn(cloud.positions[centers_idx], cloud.positions, 4, 50.0)
+        np.testing.assert_array_equal(idx, bidx)
 
     def test_pooled_feature_is_group_max(self):
         rng = np.random.default_rng(4)

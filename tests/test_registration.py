@@ -1,9 +1,13 @@
 """Differentiable pose algebra against the matrix oracle, mask-weighting
 invariances, and end-to-end determinism of the two-stage network."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import im2pc.cost_volume as CV
+import im2pc.pyramids as P
 import im2pc.registration as R
 import im2pc.geometry as G
 from im2pc.autodiff import Tensor
@@ -11,6 +15,7 @@ from im2pc.config import desk_config
 from im2pc.data import SceneConfig, synth_scene
 from im2pc.errors import DegenerateQuaternion
 from im2pc.sampling import PointCloud
+from util import finite_diff, rel_err
 
 
 def random_unit_quat(rng):
@@ -25,7 +30,7 @@ class TestQuaternionOps:
         for _ in range(1000):
             qa = rng.normal(size=4); qa /= np.linalg.norm(qa)
             qb = rng.normal(size=4); qb /= np.linalg.norm(qb)
-            qc = R.quat_mul_t(Tensor(qa), Tensor(qb)).data
+            qc = G.quat_mul(Tensor(qa), Tensor(qb)).data
             Ra = G.pose_to_matrix(G.PoseQT(qa, np.zeros(3))).R
             Rb = G.pose_to_matrix(G.PoseQT(qb, np.zeros(3))).R
             Rc = G.pose_to_matrix(G.PoseQT(qc, np.zeros(3))).R
@@ -36,9 +41,34 @@ class TestQuaternionOps:
         for _ in range(50):
             q = rng.normal(size=4); q /= np.linalg.norm(q)
             pts = rng.normal(size=(6, 3))
-            out = R.quat_rotate_t(Tensor(q), Tensor(pts)).data
+            out = G.quat_rotate(Tensor(q), Tensor(pts)).data
             M = G.pose_to_matrix(G.PoseQT(q, np.zeros(3))).R
             np.testing.assert_allclose(out, pts @ M.T, atol=1e-10)
+
+    def test_arrays_and_tensors_share_the_algebra(self):
+        # one definition serves PoseQT (numpy) and the stage poses (Tensor)
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            qa, qb = rng.normal(size=4), rng.normal(size=4)
+            pts = rng.normal(size=(5, 3))
+            np.testing.assert_array_equal(G.quat_mul(qa, qb),
+                                          G.quat_mul(Tensor(qa), Tensor(qb)).data)
+            np.testing.assert_array_equal(G.quat_rotate(qa, pts),
+                                          G.quat_rotate(Tensor(qa), Tensor(pts)).data)
+
+    def test_tensor_gradients_match_finite_difference(self):
+        rng = np.random.default_rng(5)
+        qa, qb, pts = rng.normal(size=4), rng.normal(size=4), rng.normal(size=(4, 3))
+
+        def loss(a, b, p):
+            return (G.quat_rotate(G.quat_mul(a, b), p) ** 2 * np.arange(1.0, 4.0)).sum()
+
+        ts = [Tensor(x, requires_grad=True) for x in (qa, qb, pts)]
+        rot = G.quat_rotate(G.quat_mul(ts[0], ts[1]), ts[2])
+        (rot * rot * Tensor(np.arange(1.0, 4.0))).sum().backward()
+        for t, x in zip(ts, (qa, qb, pts)):
+            num = finite_diff(lambda: float(loss(qa, qb, pts)), x)
+            assert rel_err(t.grad, num) < 1e-7
 
     def test_normalize_canonical_sign(self):
         q = np.array([-0.5, 0.5, 0.5, 0.5]) * 2.0
@@ -58,8 +88,8 @@ class TestQuaternionOps:
             q0 = rng.normal(size=4); q0 /= np.linalg.norm(q0)
             dq = rng.normal(size=4); dq /= np.linalg.norm(dq)
             t0, dt = rng.normal(size=3), rng.normal(size=3)
-            q = R.quat_normalize_t(R.quat_mul_t(Tensor(dq), Tensor(q0))).data
-            t = R.quat_rotate_t(Tensor(dq), Tensor(t0[None])).data[0] + dt
+            q = R.quat_normalize_t(G.quat_mul(Tensor(dq), Tensor(q0))).data
+            t = G.quat_rotate(Tensor(dq), Tensor(t0[None])).data[0] + dt
             oracle = G.pose_compose(G.PoseQT(dq, dt), G.PoseQT(q0, t0))
             np.testing.assert_allclose(q, oracle.q, atol=1e-10)
             np.testing.assert_allclose(t, oracle.t, atol=1e-10)
@@ -142,11 +172,51 @@ class TestNetwork:
         coarse = net.run_coarse(img_l, pt_l, train=False)
         fine = net.run_fine(img_l, pt_l, coarse, train=False)
         # recover the delta and re-compose; must land exactly on the fine pose
-        delta_q = R.quat_mul_t(Tensor(fine.q_t.data),
-                               Tensor(G.PoseQT(coarse.q_t.data, np.zeros(3)).inverse().q)).data
+        delta_q = G.quat_mul(Tensor(fine.q_t.data),
+                             Tensor(G.PoseQT(coarse.q_t.data, np.zeros(3)).inverse().q)).data
         recomposed = G.pose_compose(
             G.PoseQT(delta_q, fine.t_t.data -
                      G.pose_apply(G.PoseQT(delta_q, np.zeros(3)), coarse.t_t.data)),
             G.PoseQT(coarse.q_t.data, coarse.t_t.data))
         np.testing.assert_allclose(recomposed.q, G.PoseQT(fine.q_t.data, fine.t_t.data).q,
                                    atol=1e-9)
+
+
+def forbid(monkeypatch, *names):
+    """Make the named grouping functions raise wherever a layer looks them up."""
+    def boom(*args, **kwargs):
+        raise AssertionError("this grouping strategy must not run here")
+
+    for module in (P, CV):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+
+
+def check_stage_poses(coarse, fine):
+    for stage in (coarse, fine):
+        assert np.all(np.isfinite(stage.q_t.data))
+        assert np.all(np.isfinite(stage.t_t.data))
+        assert abs(np.linalg.norm(stage.q_t.data) - 1.0) < 1e-12
+
+
+class TestGroupingStrategy:
+    def test_fps_net_forward_and_backward(self, monkeypatch):
+        forbid(monkeypatch, "projection_aware_knn", "cell_sample")
+        net = R.RegistrationNet(dataclasses.replace(desk_config(), use_fps=True), seed=0)
+        scene = synth_scene(4, SceneConfig(n_points=128))
+        check_stage_poses(*net(scene.cloud, scene.image, scene.K, train=False))
+        coarse, fine = net(scene.cloud, scene.image, scene.K, train=True,
+                           rng=np.random.default_rng(0))
+        check_stage_poses(coarse, fine)
+        loss = (fine.q_t * fine.q_t).sum() + fine.t_t.norm_l1() + \
+            (coarse.q_t * coarse.q_t).sum() + coarse.t_t.norm_l1()
+        loss.backward()
+        grads = [p.tensor.grad for p in net.named_parameters()]
+        assert all(g is not None and np.all(np.isfinite(g)) for g in grads)
+
+    def test_default_net_stays_on_the_spherical_grid(self, monkeypatch):
+        forbid(monkeypatch, "brute_force_knn", "farthest_point_sample")
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(4, SceneConfig(n_points=128))
+        check_stage_poses(*net(scene.cloud, scene.image, scene.K, train=False))

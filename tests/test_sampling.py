@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import im2pc.sampling as S
+from im2pc import _kernels
 from im2pc.errors import MissingSpherical, TooFewPoints
 from im2pc.geometry import SphericalConfig, spherical_project_many
 
@@ -44,18 +45,6 @@ def reference_knn(centers, candidates, window_ok, k, max_sq):
 
 
 class TestStrideSample:
-    def test_modulo_rule(self):
-        sph = np.array([[0, 0], [2, 0], [3, 0], [4, 2], [4, 1], [0, 0]])
-        cloud = S.PointCloud(np.zeros((6, 3)), np.zeros((6, 1)), spherical=sph)
-        idx = S.stride_sample(cloud, (1, 2))
-        # u divisible by 2, any v; dup cell (0,0) keeps the first
-        assert idx.tolist() == [0, 1, 3, 4]
-
-    def test_first_in_order_dedup(self):
-        sph = np.array([[4, 4], [4, 4], [4, 4]])
-        cloud = S.PointCloud(np.ones((3, 3)), np.zeros((3, 1)), spherical=sph)
-        assert S.stride_sample(cloud, (2, 2)).tolist() == [0]
-
     def test_cell_sample_one_per_coarse_cell(self):
         sph = np.array([[0, 0], [1, 1], [2, 0], [3, 3], [5, 1], [4, 0]])
         cloud = S.PointCloud(np.zeros((6, 3)), np.zeros((6, 1)), spherical=sph)
@@ -71,7 +60,7 @@ class TestStrideSample:
     def test_requires_spherical(self):
         cloud = make_cloud(np.random.default_rng(0), 4, with_sph=False)
         with pytest.raises(MissingSpherical):
-            S.stride_sample(cloud, (2, 2))
+            S.cell_sample(cloud, (2, 2))
 
 
 class TestProjectionAwareKnn:
@@ -163,19 +152,26 @@ class TestProjectionAwareKnn:
 
 class TestBackendEquality:
     def test_numpy_and_numba_agree(self, monkeypatch):
+        # the kernels are jitted when numba imports and run as plain Python
+        # when it does not, so this compares two implementations either way
         rng = np.random.default_rng(11)
         spec = S.GroupingSpec(k=8, kernel=(5, 9), max_dist=4.0)
+        max_sq = spec.max_dist ** 2
+        monkeypatch.setenv("IM2PC_BACKEND", "numpy")
         for trial in range(20):
             centers = make_cloud(rng, 15)
-            cands = make_cloud(rng, 60)
-            monkeypatch.setenv("IM2PC_BACKEND", "numpy")
+            cands = make_cloud(rng, 60 if trial % 2 else int(rng.integers(1, 12)))
+            window = S._window_mask(centers.spherical, cands.spherical,
+                                    spec.kernel, CFG.W)
             i1, m1 = S.projection_aware_knn(centers, cands, spec, CFG)
-            f1 = S.farthest_point_sample(cands, 10, seed=trial)
-            monkeypatch.delenv("IM2PC_BACKEND")
-            i2, m2 = S.projection_aware_knn(centers, cands, spec, CFG)
-            f2 = S.farthest_point_sample(cands, 10, seed=trial)
-            assert np.array_equal(i1, i2) and np.array_equal(m1, m2)
-            assert np.array_equal(f1, f2)
+            i2, m2 = _kernels.knn_select(centers.positions, cands.positions,
+                                         window, spec.k, max_sq)
+            assert np.array_equal(i1, i2) and np.array_equal(m1, m2), f"trial {trial}"
+            m = min(10, cands.count)
+            f1 = S.farthest_point_sample(cands, m, seed=trial)
+            start = int(np.random.default_rng(trial).integers(cands.count))
+            f2 = _kernels.fps_select(cands.positions, m, start)
+            assert np.array_equal(f1, f2), f"trial {trial}"
 
 
 class TestFarthestPointSample:
