@@ -1,9 +1,11 @@
-"""Numba-compiled inner loops for the samplers.
+"""Numba-compiled inner loops for brute-force KNN and farthest-point sampling.
 
 Selected at import time by backend(): IM2PC_BACKEND=numpy forces the pure
 numpy path (see sampling.py); any other value uses numba when it imports.
 Both paths order candidates by (distance, index) with the same float64
 arithmetic. Without numba the functions below stay plain Python.
+Projection-aware KNN has no kernel here: its windowed numpy search in
+sampling.py runs on every backend.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ def _sq_dist(a, b):
 
 
 @njit(cache=True)
-def knn_select(centers, candidates, window_ok, k, max_sq):
-    """Per-center k-nearest among windowed candidates within sqrt(max_sq).
+def knn_select(centers, candidates, k, max_sq):
+    """Per-center k-nearest among all candidates within sqrt(max_sq).
 
-    window_ok is an (M, N) boolean gate (all-true for brute force). Returns
-    (idx, mask); invalid slots repeat the nearest valid index, or the
-    globally nearest candidate when nothing is valid.
+    Returns (idx, mask); invalid slots repeat the nearest valid index, or
+    the globally nearest candidate when nothing is valid.
     """
     M = centers.shape[0]
     N = candidates.shape[0]
@@ -66,7 +67,7 @@ def knn_select(centers, candidates, window_ok, k, max_sq):
             if d < fallback_d:
                 fallback_d = d
                 fallback = j
-            if not window_ok[i, j] or d > max_sq:
+            if d > max_sq:
                 continue
             # insertion sort by (d, j); ties keep the lower index,
             # which arrives first since j is ascending

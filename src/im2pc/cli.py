@@ -126,7 +126,7 @@ def cmd_bench_knn(args):
     rng = np.random.default_rng(args.seed)
     cfg = SphericalConfig(32, 128, 30.0, 30.0)
     mismatches = 0
-    t_proj = t_brute = 0.0
+    t_proj = t_brute = t_window = 0.0
     for _ in range(args.trials):
         pts = rng.normal(size=(args.n, 3)) * 5.0 + np.array([0, 0, 10.0])
         sph = spherical_project_many(pts, cfg)
@@ -138,12 +138,16 @@ def cmd_bench_knn(args):
         t1 = time.perf_counter()
         idx_b, _ = brute_force_knn(pts, pts, args.k)
         t2 = time.perf_counter()
+        projection_aware_knn(cloud, cloud, GroupingSpec(args.k, (5, 9)), cfg)
+        t3 = time.perf_counter()
         t_proj += t1 - t0
         t_brute += t2 - t1
+        t_window += t3 - t2
         mismatches += int((idx_p != idx_b).sum())
     print(f"backend: {_kernels.backend()}")
     print(f"projection-aware: {t_proj:.4f}s  brute-force: {t_brute:.4f}s "
           f"({args.trials} trials, n={args.n}, k={args.k})")
+    print(f"projection-aware, 5x9 window: {t_window:.4f}s")
     print(f"mismatched indices: {mismatches}")
     if mismatches:
         return 4

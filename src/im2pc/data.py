@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedFile
+from .errors import MalformedFile, ZeroRange
 from .geometry import CameraIntrinsics, PoseQT, pose_apply, pose_compose
 from .sampling import PointCloud
 
@@ -132,6 +132,8 @@ def load_kitti_bin(path) -> PointCloud:
     if size % 16 != 0:
         raise MalformedFile(f"{path}: size {size} not divisible by 16")
     raw = np.fromfile(path, dtype="<f4").reshape(-1, 4)
+    if not np.all(np.isfinite(raw)):
+        raise MalformedFile(f"{path}: non-finite coordinate or intensity")
     feats = np.zeros((raw.shape[0], 4))
     feats[:, 3] = raw[:, 3].astype(np.float64)
     return PointCloud(raw[:, :3].astype(np.float64), feats)
@@ -156,8 +158,8 @@ def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
     parts = raw.split(b"\n", 3)
-    if parts[0] != b"P6" or len(parts) < 4:
-        raise MalformedFile(f"{path}: not a binary P6 ppm")
+    if parts[0] != b"P6" or len(parts) < 4 or parts[2] != b"255":
+        raise MalformedFile(f"{path}: not a binary 8-bit P6 ppm")
     try:
         W, H = (int(t) for t in parts[1].split())
     except ValueError as e:  # a comment line or a malformed size line
@@ -183,22 +185,32 @@ def write_scene(dirname, scene: Scene):
             f.write(f"{key}={val!r}\n" if isinstance(val, float) else f"{key}={val}\n")
 
 
+def _floats(text: str, n: int) -> list[float]:
+    vals = [float(c) for c in text.split(",")]
+    if len(vals) != n or not all(map(math.isfinite, vals)):
+        raise ValueError(f"want {n} finite comma-separated numbers, got {text!r}")
+    return vals
+
+
 def read_scene(dirname) -> Scene:
     cloud = load_kitti_bin(os.path.join(dirname, "cloud.bin"))
     image = read_ppm(os.path.join(dirname, "image.ppm"))
+    path = os.path.join(dirname, "meta.txt")
     meta = {}
-    with open(os.path.join(dirname, "meta.txt")) as f:
-        for line in f:
-            key, _, val = line.strip().partition("=")
-            meta[key] = val
-    q = np.array([float(c) for c in meta.pop("q").split(",")])
-    t = np.array([float(c) for c in meta.pop("t").split(",")])
-    fx, fy, cx, cy = (float(c) for c in meta.pop("intrinsics").split(","))
-    if "noise" in meta:
-        meta["noise"] = float(meta["noise"])
-    if "seed" in meta:
-        meta["seed"] = int(meta["seed"])
-    return Scene(cloud, image, CameraIntrinsics(fx, fy, cx, cy), PoseQT(q, t), meta)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                key, _, val = line.strip().partition("=")
+                meta[key] = val
+        pose = PoseQT(_floats(meta.pop("q"), 4), _floats(meta.pop("t"), 3))
+        K = CameraIntrinsics(*_floats(meta.pop("intrinsics"), 4))
+        if "noise" in meta:
+            meta["noise"] = float(meta["noise"])
+        if "seed" in meta:
+            meta["seed"] = int(meta["seed"])
+    except (KeyError, ValueError, ZeroRange) as e:  # missing key, bad number
+        raise MalformedFile(f"{path}: {e!r}") from e
+    return Scene(cloud, image, K, pose, meta)
 
 
 def dataset_checksum(root) -> str:

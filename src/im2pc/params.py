@@ -10,6 +10,7 @@ Checkpoint layout (little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -100,6 +101,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise MalformedFile("bad checkpoint magic")
+    if len(raw) < 9:
+        raise MalformedFile(f"truncated checkpoint header ({len(raw)} bytes)")
     if raw[4] != VERSION:
         raise MalformedFile(f"unsupported checkpoint version {raw[4]}")
     (count,) = struct.unpack_from("<I", raw, 5)
@@ -115,11 +118,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             off += 1
             dims = struct.unpack_from(f"<{ndim}I", raw, off)
             off += 4 * ndim
-            n = int(np.prod(dims)) if ndim else 1
+            n = math.prod(dims)
             values = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(dims)
             off += 8 * n
             out[name] = values.astype(np.float64)
-    except (struct.error, ValueError) as e:
+    except (struct.error, ValueError, IndexError) as e:
         raise MalformedFile(f"truncated checkpoint: {e}") from e
     if off != len(raw):
         raise MalformedFile("trailing bytes in checkpoint")

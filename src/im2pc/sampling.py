@@ -1,9 +1,11 @@
 """Point-set downsampling and neighborhood queries.
 
 cell_sample and projection-aware KNN follow the spherical-grid scheme:
-the azimuth axis wraps modulo W, elevation clamps. The numba kernels in
-_kernels.py accelerate the inner loops; IM2PC_BACKEND=numpy selects the
-pure numpy path, which pads k > candidate count exactly as the kernel does.
+the azimuth axis wraps modulo W, elevation clamps. Both are vectorized
+numpy on every backend; projection-aware KNN visits only the cells of each
+center's kernel window. The numba kernels in _kernels.py serve brute-force
+KNN and FPS; IM2PC_BACKEND=numpy selects their numpy path, which orders and
+pads k > candidate count exactly as the kernels do.
 """
 
 from __future__ import annotations
@@ -65,40 +67,46 @@ def cell_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
     if cloud.spherical is None:
         raise MissingSpherical("cell_sample needs spherical coordinates")
     sh, sw = strides
-    u, v = cloud.spherical[:, 0], cloud.spherical[:, 1]
-    cells = {}
-    keep = []
-    for i in range(len(u)):
-        cell = (u[i] // sw, v[i] // sh)
-        if cell not in cells:
-            cells[cell] = True
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
+    cu = cloud.spherical[:, 0] // sw
+    cu = cu - cu.min(initial=0)
+    key = (cloud.spherical[:, 1] // sh) * (cu.max(initial=0) + 1) + cu
+    _, first = np.unique(key, return_index=True)  # first occurrence of each cell
+    return np.sort(first)
 
 
-def _window_mask(c_sph, cand_sph, kernel, W):
-    kh, kw = kernel
-    du = np.abs(c_sph[:, None, 0] - cand_sph[None, :, 0])
-    du = np.minimum(du, W - du)  # azimuth wraps
-    dv = np.abs(c_sph[:, None, 1] - cand_sph[None, :, 1])
-    return (du <= kw // 2) & (dv <= kh // 2)
+def _knn_select(centers, candidates, block, k, max_sq):
+    """Per-center k-nearest among its row of `block` within sqrt(max_sq).
 
-
-def _knn_select_numpy(centers, candidates, window_ok, k, max_sq):
-    M, N = window_ok.shape
-    d = ((centers[:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
-    valid = window_ok & (d <= max_sq)
-    order = np.argsort(np.where(valid, d, np.inf), axis=1, kind="stable")
-    idx = order[:, :k]
-    if N < k:  # widen to k columns; the extra slots are all padding
-        idx = np.pad(idx, ((0, 0), (0, k - N)))
-    nvalid = np.minimum(valid.sum(axis=1), k)
-    mask = np.arange(k)[None, :] < nvalid[:, None]
-    # pad: repeat the nearest valid index, or the global nearest when none
-    fallback = np.argmin(d, axis=1)
-    first = np.where(nvalid > 0, idx[:, 0], fallback)
-    idx = np.where(mask, idx, first[:, None])
-    return idx.astype(np.int64), mask
+    block is (M, L) candidate indices, -1 marking empty slots, or one (1, N)
+    row shared by every center. Neighbours are ordered by (distance, index).
+    Slots past the last valid neighbour repeat the nearest valid index, or
+    the globally nearest candidate when nothing is valid.
+    """
+    n = candidates.shape[0]
+    d = ((centers[:, None, :] - candidates[block]) ** 2).sum(axis=2)
+    keep = (d <= max_sq) & (block >= 0)
+    M, L = d.shape
+    if L > k:  # only the k nearest and the ties of the k-th can be selected
+        kth = np.partition(np.where(keep, d, np.inf), k - 1, axis=1)[:, k - 1:k]
+        keep &= d <= kth
+    # compact the kept pairs to the left of a (M, >= k) block, then order
+    # each row by (distance, index)
+    rows, cols = np.nonzero(keep)
+    count = np.bincount(rows, minlength=M)
+    slots = np.arange(max(count.max(initial=0), k)) < count[:, None]
+    dist = np.full(slots.shape, np.inf)
+    idx = np.full(slots.shape, n)
+    dist[slots] = d[rows, cols]
+    idx[slots] = np.broadcast_to(block, d.shape)[rows, cols]
+    order = np.lexsort((idx, dist))[:, :k]
+    idx = idx[np.arange(M)[:, None], order]
+    mask = slots[:, :k]
+    first = idx[:, 0]
+    empty = count == 0
+    if empty.any():  # brute force over all candidates, for these rows only
+        d = ((centers[empty][:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
+        first[empty] = np.argmin(d, axis=1)
+    return np.where(mask, idx, first[:, None]), mask
 
 
 def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
@@ -108,27 +116,64 @@ def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if candidates.shape[0] == 0:
         raise EmptyLevel("no candidate points")
-    window = np.ones((centers.shape[0], candidates.shape[0]), dtype=bool)
     max_sq = max_dist * max_dist
     if _kernels.backend() == "numba":
-        return _kernels.knn_select(centers, candidates, window, k, max_sq)
-    return _knn_select_numpy(centers, candidates, window, k, max_sq)
+        return _kernels.knn_select(centers, candidates, k, max_sq)
+    return _knn_select(centers, candidates, np.arange(candidates.shape[0])[None], k, max_sq)
 
 
 def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
                          spec: GroupingSpec, cfg: SphericalConfig):
-    """3D KNN restricted to a 2D kernel window on the spherical grid."""
+    """3D KNN restricted to a 2D kernel window on the spherical grid.
+
+    A candidate is in a center's window when its row is within kh // 2 of
+    the center's and its column within kw // 2, azimuth wrapping modulo W.
+    Candidates are sorted once by cell key v * W + u; each window row is
+    then at most two non-empty key ranges, found by binary search, so the
+    cost grows with the window population, not with M * N. Spherical
+    coordinates must lie on the grid (0 <= u < W), as
+    spherical_project_many makes them.
+    """
     if centers.spherical is None or candidates.spherical is None:
         raise MissingSpherical("projection-aware grouping needs spherical coordinates")
-    if candidates.count == 0:
+    n = candidates.count
+    if n == 0:
         raise EmptyLevel("no candidate points")
-    window = _window_mask(centers.spherical, candidates.spherical, spec.kernel, cfg.W)
+    W = cfg.W
+    kh, kw = spec.kernel
+    hh, hw = kh // 2, kw // 2
+    key = candidates.spherical[:, 1] * W + candidates.spherical[:, 0]
+    order = np.argsort(key)  # order within a cell is free: ties sort by index later
+    key = key[order]
+    vlo, vhi = key[0] // W, key[-1] // W
+    cu, cv = centers.spherical[:, :1], centers.spherical[:, 1:]
+    # window rows, clipped to the candidates' rows: (M, R)
+    rows = np.maximum(cv - hh, vlo) + np.arange(min(kh, vhi - vlo + 1))
+    if kw < W:
+        ulo, uhi = cu - hw, cu + hw + 1
+    else:  # the window spans the whole ring
+        ulo, uhi = np.zeros_like(cu), np.full_like(cu, W)
+    # columns [ulo, uhi) as up to three ranges inside [0, W): the unwrapped
+    # part and the parts that wrap past either end; (M, R, 3) key bounds
+    shift = np.array([-W, 0, W])
+    base = rows[:, :, None] * W
+    lo = base + np.minimum(np.maximum(ulo[:, :, None] + shift, 0), W)
+    hi = base + np.minimum(np.maximum(uhi[:, :, None] + shift, 0), W)
+    hi = np.where(rows[:, :, None] <= cv[:, :, None] + hh, hi, lo)
+    start = np.searchsorted(key, lo.reshape(len(lo), -1))
+    count = np.searchsorted(key, hi.reshape(len(hi), -1)) - start
+    total = count.sum(axis=1)
     max_sq = spec.max_dist * spec.max_dist
-    if _kernels.backend() == "numba":
-        return _kernels.knn_select(centers.positions, candidates.positions, window,
-                                   spec.k, max_sq)
-    return _knn_select_numpy(centers.positions, candidates.positions, window,
-                             spec.k, max_sq)
+    if total.min(initial=n) == n:  # every window holds every candidate
+        return _knn_select(centers.positions, candidates.positions,
+                           np.arange(n)[None], spec.k, max_sq)
+    # gather each center's ranges into a padded (M, max population) block
+    count = count.ravel()
+    skip = start.ravel() - (np.cumsum(count) - count)  # range start minus its output offset
+    src = np.arange(total.sum()) + np.repeat(skip, count)
+    block = np.full((len(total), total.max()), -1)
+    block[np.arange(block.shape[1]) < total[:, None]] = order[src]
+    return _knn_select(centers.positions, candidates.positions, block, spec.k, max_sq)
 
 
 def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:

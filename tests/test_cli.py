@@ -2,6 +2,7 @@
 eval / infer flow, the grouping benchmark, and exit codes."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -159,6 +160,7 @@ BAD_INFER_INPUTS = {  # case: (intrinsics text, edit of the image bytes)
     "intrinsics_missing_fy": ("fx=40.0\ncx=32.0\ncy=16.0\n", None),
     "intrinsics_fx_not_a_number": (INTRINSICS.replace("fx=40.0", "fx=abc"), None),
     "intrinsics_non_positive_focal": (INTRINSICS.replace("fy=40.0", "fy=-1"), None),
+    "intrinsics_nan_focal": (INTRINSICS.replace("fx=40.0", "fx=nan"), None),
     "ppm_header_comment": (INTRINSICS, lambda b: b.replace(b"P6\n", b"P6\n# by hand\n", 1)),
     "ppm_truncated": (INTRINSICS, lambda b: b[:100]),
 }
@@ -179,6 +181,32 @@ def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
                        "--image", str(image), "--intrinsics", str(intr))
     assert code == 3
     assert "data error" in err
+
+
+BAD_META_EDITS = {  # case: edit of a generated scene's meta.txt lines
+    "intrinsics_missing": lambda lines: [l for l in lines if not l.startswith("intrinsics=")],
+    "q_missing": lambda lines: [l for l in lines if not l.startswith("q=")],
+    "q_not_a_number": lambda lines: ["q=abc,0,0,0" if l.startswith("q=") else l
+                                     for l in lines],
+    "intrinsics_three_values": lambda lines: ["intrinsics=40.0,40.0,32.0"
+                                              if l.startswith("intrinsics=") else l
+                                              for l in lines],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META_EDITS))
+@pytest.mark.parametrize("cmd", ["eval", "train"])
+def test_bad_scene_meta_exit_3(trained, tmp_path, capsys, case, cmd):
+    data, ckpt, _ = trained
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    meta = bad / "scene_0001" / "meta.txt"
+    meta.write_text("\n".join(BAD_META_EDITS[case](meta.read_text().splitlines())) + "\n")
+    extra = ["--ckpt", ckpt] if cmd == "eval" else []
+    code, _, err = run(capsys, cmd, "--data", str(bad), *extra,
+                       "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert "data error" in err and "meta.txt" in err
 
 
 class TestConfigFile:

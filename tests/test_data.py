@@ -114,6 +114,12 @@ class TestFormats:
         with pytest.raises(MalformedFile):
             D.load_kitti_bin(path)
 
+    def test_point_file_finite_check(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        D.save_kitti_bin(path, np.array([[1.0, np.nan, 2.0]]), np.array([0.5]))
+        with pytest.raises(MalformedFile):
+            D.load_kitti_bin(path)
+
     def test_image_round_trip(self, tmp_path):
         img = np.random.default_rng(10).random((6, 5, 3))
         quantized = np.round(img * 255.0) / 255.0
@@ -125,6 +131,13 @@ class TestFormats:
     def test_image_magic_check(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
+        with pytest.raises(MalformedFile):
+            D.read_ppm(path)
+
+    def test_image_16_bit_rejected(self, tmp_path):
+        # two bytes per sample: read as 8-bit it would load as a wrong image
+        path = tmp_path / "deep.ppm"
+        path.write_bytes(b"P6\n1 1\n65535\n" + b"\x00" * 6)
         with pytest.raises(MalformedFile):
             D.read_ppm(path)
 

@@ -79,6 +79,14 @@ class TestFailures:
         with pytest.raises(MalformedFile):
             P.load_checkpoint(path)
 
+    @pytest.mark.parametrize("size", range(4, 9))
+    def test_short_header(self, tmp_path, size):
+        # the magic alone, or magic + version + part of the record count
+        path = tmp_path / "short"
+        path.write_bytes((P.MAGIC + bytes([P.VERSION]) + b"\x01\x00\x00\x00")[:size])
+        with pytest.raises(MalformedFile):
+            P.load_checkpoint(path)
+
     def test_truncated(self, tmp_path):
         params = sample_params(np.random.default_rng(4))
         path = tmp_path / "m.ckpt"

@@ -1,5 +1,7 @@
 """Grouping and downsampling against slow reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,27 @@ def make_cloud(rng, n, with_sph=True):
     pos[np.linalg.norm(pos, axis=1) < 1e-3] += 1.0
     sph = spherical_project_many(pos, CFG) if with_sph else None
     return S.PointCloud(pos, np.zeros((n, 1)), spherical=sph)
+
+
+def window_mask(c_sph, cand_sph, kernel, W):
+    """Dense (M, N) window gate, the oracle for the windowed search."""
+    kh, kw = kernel
+    du = np.abs(c_sph[:, None, 0] - cand_sph[None, :, 0])
+    du = np.minimum(du, W - du)  # azimuth wraps
+    dv = np.abs(c_sph[:, None, 1] - cand_sph[None, :, 1])
+    return (du <= kw // 2) & (dv <= kh // 2)
+
+
+def loop_cell_sample(sph, strides):
+    """Oracle: the first point, in input order, of each sh x sw cell."""
+    sh, sw = strides
+    seen = set()
+    keep = []
+    for i, (u, v) in enumerate(sph.tolist()):
+        if (u // sw, v // sh) not in seen:
+            seen.add((u // sw, v // sh))
+            keep.append(i)
+    return np.asarray(keep, dtype=np.int64)
 
 
 def reference_knn(centers, candidates, window_ok, k, max_sq):
@@ -62,6 +85,19 @@ class TestStrideSample:
         with pytest.raises(MissingSpherical):
             S.cell_sample(cloud, (2, 2))
 
+    def test_cell_sample_matches_loop(self):
+        rng = np.random.default_rng(14)
+        for trial in range(300):
+            n = int(rng.integers(0, 80))
+            # negative and far-off-grid coordinates too: the cell key must
+            # stay one-to-one wherever the points fall
+            lo = int(rng.integers(-40, 1))
+            sph = rng.integers(lo, int(rng.integers(1, 300)), size=(n, 2))
+            strides = (int(rng.integers(1, 9)), int(rng.integers(1, 17)))
+            cloud = S.PointCloud(np.ones((n, 3)), np.zeros((n, 1)), spherical=sph)
+            idx = S.cell_sample(cloud, strides)
+            assert np.array_equal(idx, loop_cell_sample(sph, strides)), f"trial {trial}"
+
 
 class TestProjectionAwareKnn:
     def test_matches_reference_many_clouds(self):
@@ -71,8 +107,7 @@ class TestProjectionAwareKnn:
             centers = make_cloud(rng, int(rng.integers(3, 20)))
             cands = make_cloud(rng, int(rng.integers(6, 40)))
             idx, mask = S.projection_aware_knn(centers, cands, spec, CFG)
-            window = S._window_mask(centers.spherical, cands.spherical,
-                                    spec.kernel, CFG.W)
+            window = window_mask(centers.spherical, cands.spherical, spec.kernel, CFG.W)
             ref_idx, ref_mask = reference_knn(centers.positions, cands.positions,
                                               window, spec.k, spec.max_dist ** 2)
             assert np.array_equal(idx, ref_idx), f"trial {trial}"
@@ -90,8 +125,7 @@ class TestProjectionAwareKnn:
             spec = S.GroupingSpec(k=k, kernel=(3, 5), max_dist=float(rng.uniform(0.5, 3.0)))
             centers = make_cloud(rng, int(rng.integers(1, 10)))
             cands = make_cloud(rng, n)
-            window = S._window_mask(centers.spherical, cands.spherical,
-                                    spec.kernel, CFG.W)
+            window = window_mask(centers.spherical, cands.spherical, spec.kernel, CFG.W)
             max_sq = spec.max_dist ** 2
             ref_idx, ref_mask = reference_knn(centers.positions, cands.positions,
                                               window, k, max_sq)
@@ -107,6 +141,73 @@ class TestProjectionAwareKnn:
             assert np.array_equal(bmask, bref_mask), f"trial {trial}"
             empty_rows += int((~ref_mask.any(axis=1)).sum())
         assert empty_rows > 0  # the no-valid-candidate fallback was exercised
+
+    def test_windowed_search_matches_reference(self):
+        # small grids on which windows wrap, span the whole ring (kw >= W)
+        # or every row (kh > 2H); lattice positions with duplicates give
+        # distance ties; few candidates give k above the window count
+        rng = np.random.default_rng(15)
+        seen = dict(wrap=0, ring=0, rows=0, short=0, empty=0, ties=0)
+        for trial in range(400):
+            H, W = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+            cfg = SphericalConfig(H=H, W=W, f_up=30.0, f_down=30.0)
+            kernel = (2 * int(rng.integers(0, H + 2)) + 1,
+                      2 * int(rng.integers(0, W // 2 + 2)) + 1)
+            k = int(rng.integers(1, 10))
+            max_dist = np.inf if trial % 4 == 0 else float(rng.uniform(0.5, 4.0))
+            n = int(rng.integers(1, 40))
+            if trial % 2:
+                pos = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+            else:
+                pos = rng.normal(size=(n, 3)) * 2.0
+            dup = rng.integers(0, n, size=n // 3)
+            pos[n - dup.size:] = pos[dup]
+            sph = np.stack([rng.integers(0, W, n), rng.integers(0, H, n)], axis=1)
+            cands = S.PointCloud(pos, np.zeros((n, 1)), spherical=sph)
+            if trial % 3 == 0:
+                centers = cands
+            else:
+                m = int(rng.integers(1, 15))
+                csph = np.stack([rng.integers(0, W, m), rng.integers(0, H, m)], axis=1)
+                csph[0, 0], csph[-1, 0] = 0, W - 1
+                centers = S.PointCloud(rng.integers(-3, 4, size=(m, 3)) * 1.0,
+                                       np.zeros((m, 1)), spherical=csph)
+            spec = S.GroupingSpec(k=k, kernel=kernel, max_dist=max_dist)
+            window = window_mask(centers.spherical, cands.spherical, kernel, W)
+            ref_idx, ref_mask = reference_knn(centers.positions, cands.positions,
+                                              window, k, max_dist ** 2)
+            idx, mask = S.projection_aware_knn(centers, cands, spec, cfg)
+            assert idx.dtype == np.int64 and mask.dtype == bool
+            assert np.array_equal(idx, ref_idx), f"trial {trial}"
+            assert np.array_equal(mask, ref_mask), f"trial {trial}"
+            seen["wrap"] += kernel[1] < W and 1 < kernel[1]
+            seen["ring"] += kernel[1] >= W > 1
+            seen["rows"] += kernel[0] > 2 * H
+            seen["short"] += int((window.sum(axis=1) < k).sum())
+            seen["empty"] += int((~ref_mask.any(axis=1)).sum())
+            d = ((centers.positions[:, None] - cands.positions[None]) ** 2).sum(axis=2)
+            for i in range(centers.count):
+                picked = d[i, ref_idx[i, ref_mask[i]]]
+                seen["ties"] += int(np.any(picked[1:] == picked[:-1]))
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_windowed_search_allocates_no_m_by_n_array(self):
+        cfg = SphericalConfig(H=16, W=256, f_up=30.0, f_down=30.0)
+        rng = np.random.default_rng(16)
+        n, m = 20000, 500
+        pos = rng.normal(size=(n, 3))
+        cands = S.PointCloud(pos, np.zeros((n, 1)),
+                             spherical=spherical_project_many(pos, cfg))
+        centers = S.PointCloud(pos[:m], np.zeros((m, 1)),
+                               spherical=cands.spherical[:m])
+        spec = S.GroupingSpec(k=8, kernel=(3, 5), max_dist=1.0)
+        tracemalloc.start()
+        try:
+            S.projection_aware_knn(centers, cands, spec, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n  # less than one byte per (center, candidate) pair
 
     def test_full_window_equals_brute_force(self):
         rng = np.random.default_rng(8)
@@ -125,8 +226,7 @@ class TestProjectionAwareKnn:
         cands = make_cloud(rng, 50)
         spec = S.GroupingSpec(k=4, kernel=(3, 5), max_dist=1.5)
         idx, mask = S.projection_aware_knn(centers, cands, spec, CFG)
-        window = S._window_mask(centers.spherical, cands.spherical,
-                                spec.kernel, CFG.W)
+        window = window_mask(centers.spherical, cands.spherical, spec.kernel, CFG.W)
         for i in range(10):
             for s in range(4):
                 if mask[i, s]:
@@ -155,17 +255,15 @@ class TestBackendEquality:
         # the kernels are jitted when numba imports and run as plain Python
         # when it does not, so this compares two implementations either way
         rng = np.random.default_rng(11)
-        spec = S.GroupingSpec(k=8, kernel=(5, 9), max_dist=4.0)
-        max_sq = spec.max_dist ** 2
+        k = 8
         monkeypatch.setenv("IM2PC_BACKEND", "numpy")
         for trial in range(20):
             centers = make_cloud(rng, 15)
             cands = make_cloud(rng, 60 if trial % 2 else int(rng.integers(1, 12)))
-            window = S._window_mask(centers.spherical, cands.spherical,
-                                    spec.kernel, CFG.W)
-            i1, m1 = S.projection_aware_knn(centers, cands, spec, CFG)
-            i2, m2 = _kernels.knn_select(centers.positions, cands.positions,
-                                         window, spec.k, max_sq)
+            max_dist = 4.0 if trial % 3 else 0.5  # 0.5 leaves rows with nothing valid
+            i1, m1 = S.brute_force_knn(centers.positions, cands.positions, k, max_dist)
+            i2, m2 = _kernels.knn_select(centers.positions, cands.positions, k,
+                                         max_dist ** 2)
             assert np.array_equal(i1, i2) and np.array_equal(m1, m2), f"trial {trial}"
             m = min(10, cands.count)
             f1 = S.farthest_point_sample(cands, m, seed=trial)
