@@ -59,8 +59,10 @@ class Tensor:
 
     def _accum(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: one backward may hand the same array to several parents
+            self.grad = np.array(grad, dtype=DTYPE)
+        else:
+            self.grad += grad
 
     # -- elementwise --------------------------------------------------------
 
@@ -152,18 +154,6 @@ class Tensor:
             self._accum(g * keep)
 
         return Tensor._make(np.maximum(self.data, floor), (self,), backward)
-
-    def leaky_relu(self, slope=0.1):
-        pos = self.data > 0
-        scale = np.where(pos, 1.0, slope)
-
-        def backward(g):
-            self._accum(g * scale)
-
-        return Tensor._make(self.data * scale, (self,), backward)
-
-    def relu(self):
-        return self.leaky_relu(slope=0.0)
 
     # -- shape --------------------------------------------------------------
 

@@ -124,7 +124,9 @@ def cmd_bench_knn(args):
     from .geometry import SphericalConfig, spherical_project_many
 
     rng = np.random.default_rng(args.seed)
-    cfg = SphericalConfig(32, 128, 30.0, 30.0)
+    # the cloud lies along +z, the camera's optical axis, so it spreads over
+    # the grid's rows
+    cfg = SphericalConfig(32, 128, 30.0, 30.0, frame="camera")
     mismatches = 0
     t_proj = t_brute = t_window = 0.0
     for _ in range(args.trials):

@@ -16,7 +16,8 @@ from .geometry import DEFAULT_Z_MIN, SphericalConfig
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import FeatureImage
-from .sampling import GroupingSpec, PointCloud, brute_force_knn, projection_aware_knn
+from .sampling import (GroupingSpec, PointCloud, _knn_select, brute_force_knn,
+                       projection_aware_knn)
 
 SIGMA_FLOOR = 1e-8
 MASK_NEG = -1e30
@@ -89,8 +90,8 @@ def knn_pixel_candidates(pbar: np.ndarray, pixel_plane: np.ndarray, k: int) -> n
     """k nearest pixels per point on the normalized plane, ties to lower index."""
     if k > pixel_plane.shape[0]:
         raise NoCandidates(f"k={k} exceeds pixel count {pixel_plane.shape[0]}")
-    d = ((pbar[:, None, :] - pixel_plane[None, :, :]) ** 2).sum(axis=2)
-    return np.argsort(d, axis=1, kind="stable")[:, :k].astype(np.int64)
+    block = np.arange(pixel_plane.shape[0])[None]
+    return _knn_select(pbar, pixel_plane, block, k, np.inf)[0]
 
 
 class CostVolumeModule(Module):

@@ -3,6 +3,9 @@
 Normalization is "feature-norm": statistics over the element axis (points,
 or spatial positions for images), so batch size 1 works. Running statistics
 are tracked for eval mode. Leaky-ReLU slope is 0.1.
+
+Each layer is one autodiff node with a closed-form backward: Linear, and
+feature-norm fused with its affine and the leaky ReLU that always follows it.
 """
 
 from __future__ import annotations
@@ -35,11 +38,25 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeMismatch(x.shape, (self.in_dim,), "linear input")
-        return x @ self.weight.tensor + self.bias.tensor
+        w, b = self.weight.tensor, self.bias.tensor
+        out = x.data @ w.data + b.data
+
+        def backward(g):
+            # one 2-D product over every leading axis at once
+            gf = g.reshape(-1, g.shape[-1])
+            if w.requires_grad:
+                w._accum(x.data.reshape(-1, self.in_dim).T @ gf)
+            if b.requires_grad:
+                b._accum(gf.sum(axis=0))
+            if x.requires_grad:
+                x._accum((gf @ w.data.T).reshape(x.shape))
+
+        return Tensor._make(out, (x, w, b), backward)
 
 
 class FeatureNorm(Module):
-    """Normalize each channel over all element axes (everything but the last)."""
+    """Normalize each channel over all element axes (everything but the last),
+    then scale, shift and apply the leaky ReLU, as one graph node."""
 
     def __init__(self, name, dim):
         self.name = name
@@ -53,19 +70,37 @@ class FeatureNorm(Module):
                 (f"{self.name}.running_var", self, "running_var")]
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
+        gamma, beta = self.gamma.tensor, self.beta.tensor
         if train:
-            flat = x.reshape(-1, x.shape[-1])
-            mu = flat.mean(axis=0, keepdims=True)
-            var = ((flat - mu) * (flat - mu)).mean(axis=0, keepdims=True)
-            self.running_mean = (
-                (1 - NORM_MOMENTUM) * self.running_mean + NORM_MOMENTUM * mu.data[0]
-            )
-            self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var.data[0]
-            xn = (flat - mu) / (var + NORM_EPS).sqrt()
-            xn = xn.reshape(*x.shape)
+            flat = x.data.reshape(-1, x.shape[-1])
+            n = float(flat.shape[0])
+            mu = flat.sum(axis=0, keepdims=True) / n
+            d = flat - mu
+            var = (d * d).sum(axis=0, keepdims=True) / n
+            self.running_mean = (1 - NORM_MOMENTUM) * self.running_mean + NORM_MOMENTUM * mu[0]
+            self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var[0]
+            std = np.sqrt(var + NORM_EPS)
+            xn = (d / std).reshape(x.shape)
         else:
-            xn = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + NORM_EPS))
-        return xn * self.gamma.tensor + self.beta.tensor
+            std = np.sqrt(self.running_var + NORM_EPS)
+            xn = (x.data - self.running_mean) / std
+        z = xn * gamma.data + beta.data
+        scale = np.where(z > 0, 1.0, LEAKY_SLOPE)
+
+        def backward(g):
+            gz = (g * scale).reshape(-1, g.shape[-1])
+            xnf = xn.reshape(gz.shape)
+            if gamma.requires_grad:
+                gamma._accum((gz * xnf).sum(axis=0))
+            if beta.requires_grad:
+                beta._accum(gz.sum(axis=0))
+            if x.requires_grad:
+                gxn = gz * gamma.data
+                if train:  # closed-form batch-norm backward through mu and var
+                    gxn = gxn - gxn.mean(axis=0) - xnf * (gxn * xnf).mean(axis=0)
+                x._accum((gxn / std).reshape(x.shape))
+
+        return Tensor._make(z * scale, (x, gamma, beta), backward)
 
 
 class SharedMlp(Module):
@@ -92,7 +127,7 @@ class SharedMlp(Module):
         for i, lin in enumerate(self.layers):
             x = lin(x)
             if i < len(self.norms):
-                x = self.norms[i](x, train).leaky_relu(LEAKY_SLOPE)
+                x = self.norms[i](x, train)
         return x
 
 
@@ -109,5 +144,5 @@ class ConvBlock(Module):
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         x = ad.conv2d_3x3(x, self.weight.tensor, self.bias.tensor)
-        x = self.norm(x, train).leaky_relu(LEAKY_SLOPE)
+        x = self.norm(x, train)
         return ad.maxpool2d(x, self.stride)

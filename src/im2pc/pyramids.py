@@ -80,9 +80,16 @@ class _BlockList(Module):
 def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
                  center_positions: np.ndarray):
     """Neighbor features concatenated with relative position offsets."""
-    feats = features.gather(idx)                                   # (M, K, C)
+    C = features.shape[1]
     offsets = positions[idx] - center_positions[:, None, :]        # (M, K, 3)
-    return ad.concat([feats, Tensor(offsets)], axis=2)
+    out = np.concatenate([features.data[idx], offsets], axis=2)    # (M, K, C + 3)
+
+    def backward(g):
+        if features.grad is None:
+            features.grad = np.zeros_like(features.data)
+        np.add.at(features.grad, idx, g[:, :, :C])
+
+    return Tensor._make(out, (features,), backward)
 
 
 def knn_group(centers: PointCloud, candidates: PointCloud, spec: GroupingSpec,

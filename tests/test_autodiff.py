@@ -110,7 +110,13 @@ class TestGradChecks:
     def test_reduce_max_and_leaky(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))
-        check_grad(lambda t: (t.leaky_relu(0.1).max(axis=0) * 2.0).sum(), [x])
+        # leaky ReLU as max(x, 0.1 x), then a reduce-max over the rows
+
+        def build(t):
+            leaky = ad.stack([t, t * 0.1]).max(axis=0)
+            return (leaky.max(axis=0) * 2.0).sum()
+
+        check_grad(build, [x])
 
     def test_division_broadcast(self):
         rng = np.random.default_rng(7)

@@ -96,6 +96,26 @@ class TestCandidates:
             ref = sorted(range(25), key=lambda j: (d[j], j))[:6]
             assert idx[i].tolist() == ref
 
+    def test_knn_matches_argsort_oracle_with_ties(self):
+        rng = np.random.default_rng(14)
+        ties = 0
+        for case in range(300):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+            k = int(rng.integers(1, m + 1))
+            if case % 3 == 0:  # points and pixels on a coarse lattice: tied distances
+                pbar = rng.integers(-3, 4, size=(n, 2)) * 0.5
+                plane = rng.integers(-3, 4, size=(m, 2)) * 0.5
+            else:
+                pbar, plane = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+            d = ((pbar[:, None, :] - plane[None, :, :]) ** 2).sum(axis=2)
+            ref = np.argsort(d, axis=1, kind="stable")[:, :k]
+            idx = CV.knn_pixel_candidates(pbar, plane, k)
+            assert idx.dtype == np.int64
+            np.testing.assert_array_equal(idx, ref)
+            srt = np.sort(d, axis=1)
+            ties += int((srt[:, :k] == srt[:, 1:k + 1]).any()) if k < m else 0
+        assert ties > 50
+
     def test_too_many_candidates(self):
         with pytest.raises(NoCandidates):
             CV.knn_pixel_candidates(np.zeros((1, 2)), np.zeros((3, 2)), 4)

@@ -42,13 +42,18 @@ class TestLinear:
         assert rel_err(lin.weight.tensor.grad, num_w) < 1e-6
 
 
+def undo_leaky(y):
+    """Pre-activation values of a leaky-ReLU output."""
+    return np.where(y > 0, y, y / nn.LEAKY_SLOPE)
+
+
 class TestFeatureNorm:
     def test_train_mode_standardizes(self):
         norm = nn.FeatureNorm("n", 4)
         x = Tensor(np.random.default_rng(3).normal(size=(50, 4)) * 3 + 1)
-        y = norm(x, train=True)
-        np.testing.assert_allclose(y.data.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(y.data.std(axis=0), 1.0, atol=1e-2)
+        y = undo_leaky(norm(x, train=True).data)
+        np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
 
     def test_eval_uses_running_stats(self):
         norm = nn.FeatureNorm("n", 2)
@@ -65,6 +70,144 @@ class TestFeatureNorm:
         full = norm(Tensor(a), train=False).data
         rows = np.stack([norm(Tensor(a[i:i + 1]), train=False).data[0] for i in range(6)])
         np.testing.assert_array_equal(full, rows)
+
+
+# -- the fused layers against the same maths built from Tensor primitives -----
+
+def composed_linear(lin, x):
+    return x @ lin.weight.tensor + lin.bias.tensor
+
+
+def composed_norm_act(norm, x, train):
+    """Feature-norm, affine and leaky ReLU built from Tensor primitives."""
+    if train:
+        flat = x.reshape(-1, x.shape[-1])
+        mu = flat.mean(axis=0, keepdims=True)
+        var = ((flat - mu) * (flat - mu)).mean(axis=0, keepdims=True)
+        norm.running_mean = (
+            (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data[0]
+        )
+        norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data[0]
+        xn = (flat - mu) / (var + nn.NORM_EPS).sqrt()
+        xn = xn.reshape(*x.shape)
+    else:
+        xn = (x - Tensor(norm.running_mean)) / Tensor(np.sqrt(norm.running_var + nn.NORM_EPS))
+    y = xn * norm.gamma.tensor + norm.beta.tensor
+    return y * Tensor(np.where(y.data > 0, 1.0, nn.LEAKY_SLOPE))
+
+
+def make_layer(seed, cin=5, cout=4):
+    """A Linear + FeatureNorm pair with non-trivial parameters and buffers."""
+    rng = np.random.default_rng(seed)
+    lin = nn.Linear("l", cin, cout, rng)
+    lin.bias.tensor.data[...] = rng.normal(size=cout)
+    norm = nn.FeatureNorm("n", cout)
+    norm.gamma.tensor.data[...] = rng.normal(size=cout)
+    norm.beta.tensor.data[...] = rng.normal(size=cout)
+    # channel 0 outputs exact zeros, where the leaky ReLU's slope applies
+    norm.gamma.tensor.data[0] = norm.beta.tensor.data[0] = 0.0
+    norm.running_mean = rng.normal(size=cout)
+    norm.running_var = rng.uniform(0.5, 2.0, size=cout)
+    return lin, norm
+
+
+def run_layer(layer_fn, lin, norm, x, weights, train):
+    """Forward and backward of one layer; returns output and every gradient."""
+    for p in lin.named_parameters() + norm.named_parameters():
+        p.zero_grad()
+    t = Tensor(x, requires_grad=True)
+    out = layer_fn(lin, norm, t, train)
+    (out * Tensor(weights)).sum().backward()
+    grads = [t.grad, lin.weight.grad, lin.bias.grad, norm.gamma.grad, norm.beta.grad]
+    return out.data, grads, (norm.running_mean.copy(), norm.running_var.copy())
+
+
+def fused(lin, norm, t, train):
+    return norm(lin(t), train)
+
+
+def composed(lin, norm, t, train):
+    return composed_norm_act(norm, composed_linear(lin, t), train)
+
+
+SHAPES = [(37, 5), (9, 6, 5), (4, 3, 2, 5)]
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_composed_ops(self, shape, train):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=shape) * 2 + 0.5
+        weights = rng.normal(size=shape[:-1] + (4,))
+        out_f, grads_f, bufs_f = run_layer(fused, *make_layer(21), x, weights, train)
+        out_c, grads_c, bufs_c = run_layer(composed, *make_layer(21), x, weights, train)
+        np.testing.assert_array_equal(out_f, out_c)
+        for a, b in zip(bufs_f, bufs_c):
+            np.testing.assert_array_equal(a, b)
+        assert (out_f < 0).any() and (out_f > 0).any()  # both ReLU branches
+        for name, a, b in zip(("x", "W", "b", "gamma", "beta"), grads_f, grads_c):
+            assert a.shape == b.shape, name
+            # the bias before a train-mode norm has an exactly-zero gradient:
+            # compare it with the scale of the input gradient instead
+            scale = np.abs(grads_c[0]).max() if (train and name == "b") else np.abs(b).max()
+            assert np.abs(a - b).max() <= 1e-10 * scale, name
+
+    def test_linear_matches_composed_on_vectors(self):
+        rng = np.random.default_rng(22)
+        lin = nn.Linear("l", 6, 3, rng)
+        x = rng.normal(size=6)
+        ref = composed_linear(lin, Tensor(x))
+        np.testing.assert_array_equal(lin(Tensor(x)).data, ref.data)
+        t = Tensor(x, requires_grad=True)
+        (lin(t) * Tensor([1.0, -2.0, 0.5])).sum().backward()
+        gx, gw = t.grad, lin.weight.grad.copy()
+        lin.weight.zero_grad()
+        t = Tensor(x, requires_grad=True)
+        (composed_linear(lin, t) * Tensor([1.0, -2.0, 0.5])).sum().backward()
+        assert rel_err(gx, t.grad) < 1e-12
+        assert rel_err(gw, lin.weight.grad) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8, 3), (3, 4, 3)])
+    def test_train_mode_finite_differences(self, shape):
+        rng = np.random.default_rng(23)
+        mlp = nn.SharedMlp("m", 3, (4, 3, 2), rng, final_linear=True)
+        for norm in mlp.norms:
+            norm.gamma.tensor.data[...] = rng.normal(size=norm.gamma.data.shape)
+            norm.beta.tensor.data[...] = rng.normal(size=norm.beta.data.shape)
+        x = rng.normal(size=shape)
+        weights = rng.normal(size=shape[:-1] + (2,))
+
+        def loss():  # train-mode output does not depend on the running buffers
+            return float((mlp(Tensor(x), train=True).data * weights).sum())
+
+        t = Tensor(x, requires_grad=True)
+        (mlp(t, train=True) * Tensor(weights)).sum().backward()
+        assert rel_err(t.grad, finite_diff(loss, x)) < 1e-6
+        for p in mlp.named_parameters():
+            if p.name in ("m.lin0.bias", "m.lin1.bias"):
+                continue  # exactly zero: the norm cancels any shift
+            assert rel_err(p.grad, finite_diff(loss, p.data)) < 1e-6, p.name
+
+    def test_desk_train_forward_node_count(self, monkeypatch):
+        from im2pc.config import desk_config
+        from im2pc.data import SceneConfig, synth_scene
+        from im2pc.registration import RegistrationNet
+
+        net = RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(0, SceneConfig(n_points=512))
+        assert scene.cloud.count == 512
+        calls = []
+        make = Tensor._make
+
+        def counted(*args):
+            calls.append(1)
+            return make(*args)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
+        net(scene.cloud, scene.image, scene.K, train=True, rng=np.random.default_rng(0))
+        # one node per layer; the same maths from Tensor primitives takes ~1,000
+        assert 0 < len(calls) <= 450
 
 
 class TestSharedMlp:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import im2pc.pyramids as P
+from im2pc import autodiff as ad
 from im2pc.autodiff import Tensor
 from im2pc.errors import IndexMismatch
 from im2pc.geometry import CameraIntrinsics, SphericalConfig, spherical_project_many
@@ -100,6 +101,26 @@ class TestSetAbstraction:
                                  cloud.positions[centers_idx])
         manual = sa.mlp(grouped, train=False).data.max(axis=1)
         np.testing.assert_array_equal(out.features.data, manual)
+
+
+    def test_gather_group_matches_composed_ops(self):
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(15, 4))
+        positions = rng.normal(size=(15, 3))
+        centers = rng.normal(size=(6, 3))
+        idx = rng.integers(0, 15, size=(6, 5))   # repeated rows accumulate
+        weights = rng.normal(size=(6, 5, 7))
+        t = Tensor(feats, requires_grad=True)
+        out = P.gather_group(t, positions, idx, centers)
+        assert out._parents == (t,)   # one node straight on the features
+        (out * Tensor(weights)).sum().backward()
+        # oracle: a gather node, then a concat with the constant offsets
+        t_ref = Tensor(feats, requires_grad=True)
+        ref = ad.concat([t_ref.gather(idx), Tensor(positions[idx] - centers[:, None, :])],
+                        axis=2)
+        (ref * Tensor(weights)).sum().backward()
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(t.grad, t_ref.grad)
 
 
 class TestPointPyramid:
