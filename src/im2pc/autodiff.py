@@ -7,6 +7,8 @@ second call raises GraphConsumed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import GraphConsumed, NotScalar, ShapeMismatch
@@ -51,10 +53,12 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
         return out
 
     def _accum(self, grad):
@@ -260,27 +264,26 @@ class Tensor:
     # -- gather / scatter ---------------------------------------------------
 
     def gather(self, indices):
-        """Take rows along axis 0; indices may be any integer-array shape."""
+        """Take rows along axis 0; indices may be any non-negative
+        integer-array shape."""
         indices = np.asarray(indices)
 
         def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, indices, g)
+            self._accum(scatter_rows(indices, g, self.shape[0]))
 
         return Tensor._make(self.data[indices], (self,), backward)
 
     def scatter_add(self, indices, out_len: int):
         """Rows summed into a (out_len, ...) tensor at `indices` (axis 0).
 
-        `indices` may be any integer-array shape; it addresses the leading
-        axes of this tensor and the remaining axes carry over to the output.
+        `indices` may be any non-negative integer-array shape; it addresses
+        the leading axes of this tensor and the remaining axes carry over to
+        the output.
         """
         indices = np.asarray(indices)
         if indices.shape != self.shape[: indices.ndim]:
             raise ShapeMismatch(indices.shape, self.shape, "scatter_add indices")
-        out_data = np.zeros((out_len,) + self.shape[indices.ndim:], dtype=DTYPE)
-        np.add.at(out_data, indices, self.data)
+        out_data = scatter_rows(indices, self.data, out_len)
 
         def backward(g):
             self._accum(g[indices])
@@ -315,6 +318,16 @@ class Tensor:
             node._spent = True
             node._parents = ()
             node._backward = None
+
+
+def scatter_rows(indices: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Rows of `g` summed into an (n, ...) array at non-negative `indices`
+    along axis 0: np.add.at on zeros, in the same order, so bitwise equal,
+    but as one bincount over flattened (row, trailing element) bins."""
+    rest = g.shape[indices.ndim:]
+    r = math.prod(rest)
+    bins = (indices[..., None] * r + np.arange(r)).ravel()
+    return np.bincount(bins, weights=g.ravel(), minlength=n * r).reshape((n,) + rest)
 
 
 def as_tensor(x) -> Tensor:
@@ -366,7 +379,7 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             w._accum((cols.reshape(H * W, 9 * Cin).T @ gm).reshape(3, 3, Cin, Cout))
         if b.requires_grad:
-            b._accum(gm.sum(axis=0))
+            b._accum(np.ones(H * W) @ gm)
         if x.requires_grad:
             gcols = (gm @ w.data.reshape(9 * Cin, Cout).T).reshape(H, W, 3, 3, Cin)
             gxp = np.zeros_like(xp)

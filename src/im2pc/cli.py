@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments, 3 data error, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -124,13 +125,18 @@ def cmd_bench_knn(args):
     from .geometry import SphericalConfig, spherical_project_many
 
     rng = np.random.default_rng(args.seed)
-    # the cloud lies along +z, the camera's optical axis, so it spreads over
-    # the grid's rows
-    cfg = SphericalConfig(32, 128, 30.0, 30.0, frame="camera")
+    # a fixed density: the points fall uniformly on the front half of the
+    # grid, inside its field of view, and the grid grows with n (32 x 128 at
+    # n = 2000), so a 5x9 window holds about the same points at every n
+    h = max(2, round(32 * math.sqrt(args.n / 2000)))
+    cfg = SphericalConfig(h, 4 * h, 30.0, 30.0)
     mismatches = 0
     t_proj = t_brute = t_window = 0.0
     for _ in range(args.trials):
-        pts = rng.normal(size=(args.n, 3)) * 5.0 + np.array([0, 0, 10.0])
+        az = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, args.n)
+        el = np.radians(rng.uniform(-29.0, 29.0, args.n))
+        pts = rng.uniform(5.0, 15.0, args.n)[:, None] * np.stack(
+            [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
         sph = spherical_project_many(pts, cfg)
         cloud = PointCloud(pts, np.zeros((args.n, 1)), spherical=sph)
         # full-coverage kernel and unbounded distance: must match brute force
@@ -149,7 +155,7 @@ def cmd_bench_knn(args):
     print(f"backend: {_kernels.backend()}")
     print(f"projection-aware: {t_proj:.4f}s  brute-force: {t_brute:.4f}s "
           f"({args.trials} trials, n={args.n}, k={args.k})")
-    print(f"projection-aware, 5x9 window: {t_window:.4f}s")
+    print(f"projection-aware, 5x9 window: {t_window:.4f}s ({cfg.H}x{cfg.W} grid)")
     print(f"mismatched indices: {mismatches}")
     if mismatches:
         return 4

@@ -57,11 +57,6 @@ def standardize(x: Tensor) -> Tensor:
     return centered / sigma
 
 
-def point_pixel_similarity(f: Tensor, g: Tensor) -> Tensor:
-    """Channel-wise product of the standardized feature vectors."""
-    return standardize(f) * standardize(g)
-
-
 def inverse_similarity(point_feats: Tensor, pixel_feats: Tensor) -> Tensor:
     """Per-pixel channel-wise max over all points of f (*) g (raw features)."""
     prod = point_feats.reshape(point_feats.shape[0], 1, -1) * \

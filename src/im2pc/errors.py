@@ -26,10 +26,6 @@ class ZeroRange(Im2pcError):
     pass
 
 
-class BehindCamera(Im2pcError):
-    pass
-
-
 class ZeroNoise(Im2pcError):
     pass
 

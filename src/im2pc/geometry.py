@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NotARotation, ZeroNoise, ZeroRange, BehindCamera
+from .errors import NotARotation, ZeroNoise, ZeroRange
 
 DEFAULT_Z_MIN = 1e-3
 
@@ -235,18 +235,6 @@ def spherical_project_many(points: np.ndarray, cfg: SphericalConfig) -> np.ndarr
     u = np.mod(u, cfg.W)
     v = np.clip(v, 0, cfg.H - 1)
     return np.stack([u, v], axis=1)
-
-
-def normalized_plane_project(p: np.ndarray, z_min: float = DEFAULT_Z_MIN) -> tuple[float, float]:
-    x, y, z = np.asarray(p, dtype=np.float64)
-    if z <= z_min:
-        raise BehindCamera(f"z={z} <= z_min={z_min}")
-    return float(x / z), float(y / z)
-
-
-def pixel_inverse_project(o: np.ndarray, K: CameraIntrinsics) -> tuple[float, float]:
-    u, v = np.asarray(o, dtype=np.float64)
-    return float((u - K.cx) / K.fx), float((v - K.cy) / K.fy)
 
 
 def euler_xyz(R: np.ndarray) -> np.ndarray:

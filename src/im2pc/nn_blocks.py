@@ -6,6 +6,12 @@ are tracked for eval mode. Leaky-ReLU slope is 0.1.
 
 Each layer is one autodiff node with a closed-form backward: Linear, and
 feature-norm fused with its affine and the leaky ReLU that always follows it.
+
+On narrow (n, C) arrays numpy's axis-0 reductions and large temporaries cost
+more than the arithmetic, so channel sums are `ones @ x` BLAS products (train
+mean and variance, the gamma/beta and bias gradients), the train backward
+reuses the gamma/beta sums, and in-place steps keep temporaries few. Eval
+outputs round as the plain expressions do; train-mode sums round as BLAS.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class Linear(Module):
             if w.requires_grad:
                 w._accum(x.data.reshape(-1, self.in_dim).T @ gf)
             if b.requires_grad:
-                b._accum(gf.sum(axis=0))
+                b._accum(np.ones(gf.shape[0]) @ gf)
             if x.requires_grad:
                 x._accum((gf @ w.data.T).reshape(x.shape))
 
@@ -70,37 +76,50 @@ class FeatureNorm(Module):
                 (f"{self.name}.running_var", self, "running_var")]
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
+        # in-place steps keep the large temporaries few; the rounding is that
+        # of the plain expressions in the comments
         gamma, beta = self.gamma.tensor, self.beta.tensor
         if train:
             flat = x.data.reshape(-1, x.shape[-1])
             n = float(flat.shape[0])
-            mu = flat.sum(axis=0, keepdims=True) / n
-            d = flat - mu
-            var = (d * d).sum(axis=0, keepdims=True) / n
-            self.running_mean = (1 - NORM_MOMENTUM) * self.running_mean + NORM_MOMENTUM * mu[0]
-            self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var[0]
+            ones = np.ones(flat.shape[0])  # channel sums as BLAS products
+            mu = ones @ flat / n
+            xn = flat - mu
+            var = ones @ (xn * xn) / n
+            self.running_mean = (1 - NORM_MOMENTUM) * self.running_mean + NORM_MOMENTUM * mu
+            self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var
             std = np.sqrt(var + NORM_EPS)
-            xn = (d / std).reshape(x.shape)
+            xn = xn.reshape(x.shape)
         else:
             std = np.sqrt(self.running_var + NORM_EPS)
-            xn = (x.data - self.running_mean) / std
-        z = xn * gamma.data + beta.data
-        scale = np.where(z > 0, 1.0, LEAKY_SLOPE)
+            xn = x.data - self.running_mean
+        xn /= std
+        z = xn * gamma.data
+        z += beta.data                 # z = xn * gamma + beta
+        out = z * LEAKY_SLOPE
+        np.maximum(z, out, out=out)    # bitwise z * where(z > 0, 1, LEAKY_SLOPE)
 
         def backward(g):
-            gz = (g * scale).reshape(-1, g.shape[-1])
+            gz = (z > 0) * (1 - LEAKY_SLOPE)
+            gz += LEAKY_SLOPE              # the slope, exactly 1.0 or LEAKY_SLOPE
+            gz *= g
+            gz = gz.reshape(-1, g.shape[-1])
             xnf = xn.reshape(gz.shape)
+            ones = np.ones(gz.shape[0])
+            sum_gz = ones @ gz            # beta's gradient
+            sum_gzx = ones @ (gz * xnf)   # gamma's gradient
             if gamma.requires_grad:
-                gamma._accum((gz * xnf).sum(axis=0))
+                gamma._accum(sum_gzx)
             if beta.requires_grad:
-                beta._accum(gz.sum(axis=0))
+                beta._accum(sum_gz)
             if x.requires_grad:
-                gxn = gz * gamma.data
-                if train:  # closed-form batch-norm backward through mu and var
-                    gxn = gxn - gxn.mean(axis=0) - xnf * (gxn * xnf).mean(axis=0)
-                x._accum((gxn / std).reshape(x.shape))
+                if train:  # closed-form batch-norm backward through mu and var:
+                    gz -= sum_gz / n      # gz - sum_gz / n - xn * sum_gzx / n
+                    gz -= xnf * (sum_gzx / n)
+                gz *= gamma.data / std
+                x._accum(gz.reshape(x.shape))
 
-        return Tensor._make(z * scale, (x, gamma, beta), backward)
+        return Tensor._make(out, (x, gamma, beta), backward)
 
 
 class SharedMlp(Module):

@@ -85,9 +85,7 @@ def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
     out = np.concatenate([features.data[idx], offsets], axis=2)    # (M, K, C + 3)
 
     def backward(g):
-        if features.grad is None:
-            features.grad = np.zeros_like(features.data)
-        np.add.at(features.grad, idx, g[:, :, :C])
+        features._accum(ad.scatter_rows(idx, g[:, :, :C], features.shape[0]))
 
     return Tensor._make(out, (features,), backward)
 

@@ -5,7 +5,8 @@ the azimuth axis wraps modulo W, elevation clamps. Both are vectorized
 numpy on every backend; projection-aware KNN visits only the cells of each
 center's kernel window. The numba kernels in _kernels.py serve brute-force
 KNN and FPS; IM2PC_BACKEND=numpy selects their numpy path, which orders and
-pads k > candidate count exactly as the kernels do.
+pads k > candidate count exactly as the kernels do, and sums squared
+distances coordinate by coordinate in the kernels' order.
 """
 
 from __future__ import annotations
@@ -74,6 +75,25 @@ def cell_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
     return np.sort(first)
 
 
+def _sq_dist(a, b):
+    """Squared distances between points given coordinate-major: `a` and `b`
+    each yield one array per coordinate, broadcasting against each other.
+
+    Sums one coordinate at a time, left to right, as numpy sums a short last
+    axis, so it is bitwise ((c - x) ** 2).sum(axis=-1) for coordinate-last
+    c and x; gathering and subtracting one coordinate at a time is faster.
+    """
+    out = None
+    for aj, bj in zip(a, b):
+        d = aj - bj
+        d *= d
+        if out is None:
+            out = d
+        else:
+            out += d
+    return out
+
+
 def _knn_select(centers, candidates, block, k, max_sq):
     """Per-center k-nearest among its row of `block` within sqrt(max_sq).
 
@@ -83,7 +103,7 @@ def _knn_select(centers, candidates, block, k, max_sq):
     the globally nearest candidate when nothing is valid.
     """
     n = candidates.shape[0]
-    d = ((centers[:, None, :] - candidates[block]) ** 2).sum(axis=2)
+    d = _sq_dist(centers.T[:, :, None], (c[block] for c in candidates.T))
     keep = (d <= max_sq) & (block >= 0)
     M, L = d.shape
     if L > k:  # only the k nearest and the ties of the k-th can be selected
@@ -104,7 +124,7 @@ def _knn_select(centers, candidates, block, k, max_sq):
     first = idx[:, 0]
     empty = count == 0
     if empty.any():  # brute force over all candidates, for these rows only
-        d = ((centers[empty][:, None, :] - candidates[None, :, :]) ** 2).sum(axis=2)
+        d = _sq_dist(centers[empty].T[:, :, None], candidates.T[:, None, :])
         first[empty] = np.argmin(d, axis=1)
     return np.where(mask, idx, first[:, None]), mask
 
@@ -187,8 +207,9 @@ def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = start
     min_d = np.full(n, np.inf)
+    pts = cloud.positions.T
     for step in range(1, m):
-        d = ((cloud.positions - cloud.positions[chosen[step - 1]]) ** 2).sum(axis=1)
+        d = _sq_dist(pts, pts[:, chosen[step - 1]])
         min_d = np.minimum(min_d, d)
         chosen[step] = int(np.argmax(min_d))  # argmax ties to the lowest index
     return chosen

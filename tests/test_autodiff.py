@@ -107,6 +107,23 @@ class TestGradChecks:
 
         check_grad(build, [x])
 
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 2, 4)])
+    def test_gather_backward_matches_add_at(self, shape):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=shape)
+        idx = rng.integers(0, 6, size=(5, 6))   # repeated rows; row 6 never taken
+        # magnitudes far apart, so the order of the sums shows in the rounding
+        size = idx.shape + shape[1:]
+        g = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
+        t = Tensor(x, requires_grad=True)
+        (t.gather(idx) * Tensor(g)).sum().backward()
+        ref = np.zeros_like(x)
+        np.add.at(ref, idx, g)
+        np.testing.assert_array_equal(t.grad, ref)
+        rev = np.zeros_like(x)
+        np.add.at(rev, idx.ravel()[::-1], g.reshape((-1,) + shape[1:])[::-1])
+        assert (rev != ref).any()
+
     def test_reduce_max_and_leaky(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 4))

@@ -48,12 +48,14 @@ class TestStandardize:
         z = CV.standardize(Tensor(np.full((2, 4), 3.7))).data
         np.testing.assert_array_equal(z, 0.0)
 
-    def test_similarity_symmetry(self):
+    def test_positive_affine_invariance(self):
+        # so the point-pixel similarity standardize(f) * standardize(g) does
+        # not depend on the scale or offset of either feature vector
         rng = np.random.default_rng(1)
-        f, g = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=(3, 5)))
-        a = CV.point_pixel_similarity(f, g).data
-        b = CV.point_pixel_similarity(g, f).data
-        np.testing.assert_array_equal(a, b)
+        x = rng.normal(size=(3, 5))
+        a, b = rng.uniform(0.1, 10, size=(3, 1)), rng.normal(size=(3, 1))
+        np.testing.assert_allclose(CV.standardize(Tensor(a * x + b)).data,
+                                   CV.standardize(Tensor(x)).data, rtol=0, atol=1e-12)
 
 
 class TestInverseSimilarity:

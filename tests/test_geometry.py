@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from im2pc import geometry as G
-from im2pc.errors import BehindCamera, NotARotation, ZeroNoise, ZeroRange
+from im2pc.autodiff import Tensor
+from im2pc.cost_volume import normalized_pixel_grid, normalized_points
+from im2pc.errors import NotARotation, ZeroNoise, ZeroRange
+from im2pc.pyramids import FeatureImage
 
 from util import random_rotation
+
+
+def pixel_image(pixels, K):
+    """A one-row feature image whose cells sit at the given pixel coordinates."""
+    pixels = np.asarray(pixels, dtype=np.float64).reshape(1, -1, 2)
+    return FeatureImage(Tensor(np.zeros(pixels.shape[:2] + (1,))), pixels, K, level=1)
 
 
 def random_pose(rng):
@@ -134,40 +143,47 @@ class TestSpherical:
 
 
 class TestPlaneProjections:
+    """The normalized-plane projections the cost volume uses: points by
+    `normalized_points`, pixels by `normalized_pixel_grid`."""
+
     def test_optical_axis(self):
-        assert G.normalized_plane_project([0, 0, 5]) == (0.0, 0.0)
+        np.testing.assert_array_equal(normalized_points(np.array([[0.0, 0.0, 5.0]])),
+                                      [[0.0, 0.0]])
 
     def test_hand_case(self):
-        assert G.normalized_plane_project([2, -1, 2]) == (1.0, -0.5)
+        np.testing.assert_array_equal(normalized_points(np.array([[2.0, -1.0, 2.0]])),
+                                      [[1.0, -0.5]])
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            G.normalized_plane_project([1, 1, 1e-4])
+        # z at or below z_min is clamped to z_min, so the point stays queryable
+        p = np.array([[1.0, -2.0, G.DEFAULT_Z_MIN], [1.0, -2.0, -3.0], [1.0, -2.0, 0.5]])
+        out = normalized_points(p)
+        np.testing.assert_array_equal(out[0], out[1])
+        np.testing.assert_allclose(out[0], [1.0 / G.DEFAULT_Z_MIN, -2.0 / G.DEFAULT_Z_MIN])
+        np.testing.assert_array_equal(out[2], [2.0, -4.0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            p = rng.normal(size=3)
-            p[2] = abs(p[2]) + 0.1
-            lam = rng.uniform(0.1, 10)
-            assert np.allclose(G.normalized_plane_project(p),
-                               G.normalized_plane_project(lam * p), atol=1e-12)
+        p = rng.normal(size=(100, 3))
+        p[:, 2] = np.abs(p[:, 2]) + 0.1
+        lam = rng.uniform(0.1, 10, size=(100, 1))
+        np.testing.assert_allclose(normalized_points(p), normalized_points(lam * p),
+                                   rtol=0, atol=1e-12)
 
     def test_inverse_project(self):
         K = G.CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        assert G.pixel_inverse_project([50, -20], K) == (0.5, -0.2)
-        assert G.pixel_inverse_project([K.cx, K.cy], K) == (0.0, 0.0)
+        img = pixel_image([[50.0, -20.0], [K.cx, K.cy]], K)
+        np.testing.assert_array_equal(normalized_pixel_grid(img), [[0.5, -0.2], [0.0, 0.0]])
 
     def test_project_inverse_round_trip(self):
         K = G.CameraIntrinsics(80.0, 120.0, 32.0, 24.0)
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = rng.normal(size=3)
-            p[2] = abs(p[2]) + 0.5
-            xb, yb = G.normalized_plane_project(p)
-            u, v = K.fx * xb + K.cx, K.fy * yb + K.cy
-            back = G.pixel_inverse_project([u, v], K)
-            assert abs(back[0] - xb) < 1e-12 and abs(back[1] - yb) < 1e-12
+        p = rng.normal(size=(100, 3))
+        p[:, 2] = np.abs(p[:, 2]) + 0.5
+        pbar = normalized_points(p)
+        pixels = np.stack([K.fx * pbar[:, 0] + K.cx, K.fy * pbar[:, 1] + K.cy], axis=1)
+        back = normalized_pixel_grid(pixel_image(pixels, K))
+        np.testing.assert_allclose(back, pbar, rtol=0, atol=1e-12)
 
 
 class TestMetrics:

@@ -82,12 +82,14 @@ def composed_norm_act(norm, x, train):
     """Feature-norm, affine and leaky ReLU built from Tensor primitives."""
     if train:
         flat = x.reshape(-1, x.shape[-1])
-        mu = flat.mean(axis=0, keepdims=True)
-        var = ((flat - mu) * (flat - mu)).mean(axis=0, keepdims=True)
+        n = flat.shape[0]
+        ones = Tensor(np.ones(n))  # channel means as the same BLAS products
+        mu = (ones @ flat) / float(n)
+        var = (ones @ ((flat - mu) * (flat - mu))) / float(n)
         norm.running_mean = (
-            (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data[0]
+            (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data
         )
-        norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data[0]
+        norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data
         xn = (flat - mu) / (var + nn.NORM_EPS).sqrt()
         xn = xn.reshape(*x.shape)
     else:

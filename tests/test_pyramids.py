@@ -122,6 +122,22 @@ class TestSetAbstraction:
         np.testing.assert_array_equal(out.data, ref.data)
         np.testing.assert_array_equal(t.grad, t_ref.grad)
 
+    def test_gather_group_backward_matches_add_at(self):
+        rng = np.random.default_rng(13)
+        feats = rng.normal(size=(12, 5))
+        positions = rng.normal(size=(12, 3))
+        centers = rng.normal(size=(7, 3))
+        idx = rng.integers(0, 10, size=(7, 6))   # repeated rows; rows 10, 11 never taken
+        g = rng.normal(size=(7, 6, 8)) * 10.0 ** rng.uniform(-6, 6, size=(7, 6, 8))
+        t = Tensor(feats, requires_grad=True)
+        (P.gather_group(t, positions, idx, centers) * Tensor(g)).sum().backward()
+        ref = np.zeros_like(feats)
+        np.add.at(ref, idx, g[:, :, :5])   # the offset channels carry no gradient
+        np.testing.assert_array_equal(t.grad, ref)
+        rev = np.zeros_like(feats)
+        np.add.at(rev, idx.ravel()[::-1], g[:, :, :5].reshape(-1, 5)[::-1])
+        assert (rev != ref).any()   # the order of the sums shows in the rounding
+
 
 class TestPointPyramid:
     def test_four_levels(self):

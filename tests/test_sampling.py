@@ -67,6 +67,67 @@ def reference_knn(centers, candidates, window_ok, k, max_sq):
     return idx, mask
 
 
+def argsort_knn(centers, candidates, window_ok, k, max_sq):
+    """Vectorized oracle: distances as ((c - x) ** 2).sum(axis=-1), then a
+    stable argsort, window and radius gated, padded like reference_knn."""
+    d = ((centers[:, None, :] - candidates[None, :, :]) ** 2).sum(axis=-1)
+    ok = window_ok & (d <= max_sq)
+    order = np.argsort(np.where(ok, d, np.inf), axis=1, kind="stable")
+    order = np.pad(order, ((0, 0), (0, max(0, k - order.shape[1]))))[:, :k]
+    mask = np.arange(k) < ok.sum(axis=1, keepdims=True)
+    pad = np.where(mask[:, 0], order[:, 0], np.argmin(d, axis=1))
+    return np.where(mask, order, pad[:, None]), mask
+
+
+class TestSquaredDistance:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_last_axis_sum(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        # coordinates of very different magnitudes, so summation order shows
+        scale = 10.0 ** rng.uniform(-4, 4, size=dim)
+        c = rng.normal(size=(50, dim)) * scale
+        x = rng.normal(size=(80, dim)) * scale
+        ref = ((c[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(S._sq_dist(c.T[:, :, None], x.T[:, None, :]), ref)
+        # the gathered block of the KNN core, and one point against a cloud
+        block = rng.integers(0, 80, size=(50, 7))
+        ref_block = ((c[:, None, :] - x[block]) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(
+            S._sq_dist(c.T[:, :, None], (xj[block] for xj in x.T)), ref_block)
+        np.testing.assert_array_equal(S._sq_dist(x.T, c[3]), ((x - c[3]) ** 2).sum(axis=-1))
+        if dim == 3:  # a right-to-left sum would round differently here
+            sq = (c[:, None, :] - x[None, :, :]) ** 2
+            assert ((sq[..., 2] + sq[..., 1] + sq[..., 0]) != ref).any()
+
+    def test_knn_matches_last_axis_sum_with_ties(self):
+        rng = np.random.default_rng(31)
+        exact_ties = rounded_ties = 0
+        for case in range(150):
+            n = int(rng.integers(1, 80))
+            # a 0.1 lattice, shifted off the origin: many distances tie exactly,
+            # others tie in exact arithmetic but not after rounding
+            pos = rng.integers(-15, 16, size=(n, 3)) * 0.1 + np.array([2.05, 0.0, 0.0])
+            if case % 2:
+                pos = np.round(pos)
+            cloud = S.PointCloud(pos, np.zeros((n, 1)),
+                                 spherical=spherical_project_many(pos, CFG))
+            k = int(rng.integers(1, 12))
+            max_dist = float(rng.choice([np.inf, 0.45, 1.0]))
+            spec = S.GroupingSpec(k=k, kernel=(3, 5), max_dist=max_dist)
+            window = window_mask(cloud.spherical, cloud.spherical, spec.kernel, CFG.W)
+            for got, ok in ((S.projection_aware_knn(cloud, cloud, spec, CFG), window),
+                            (S.brute_force_knn(pos, pos, k, max_dist), np.ones_like(window))):
+                ref = argsort_knn(pos, pos, ok, k, max_dist ** 2)
+                np.testing.assert_array_equal(got[0], ref[0], err_msg=f"case {case}")
+                np.testing.assert_array_equal(got[1], ref[1], err_msg=f"case {case}")
+            d = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1)
+            exact = np.round(d, 6)
+            same = exact[:, :, None] == exact[:, None, :]
+            exact_ties += int((same & (d[:, :, None] == d[:, None, :])).sum() > n * n)
+            rounded_ties += int((same & (d[:, :, None] != d[:, None, :])).any())
+        assert exact_ties > 50 and rounded_ties > 20
+
+
 class TestStrideSample:
     def test_cell_sample_one_per_coarse_cell(self):
         sph = np.array([[0, 0], [1, 1], [2, 0], [3, 3], [5, 1], [4, 0]])
