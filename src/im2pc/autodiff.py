@@ -63,8 +63,10 @@ class Tensor:
 
     def _accum(self, grad):
         if self.grad is None:
-            # a copy: one backward may hand the same array to several parents
-            self.grad = np.array(grad, dtype=DTYPE)
+            # kept as handed over: a backward hands each parent an array no
+            # other parent holds (__add__ copies where it would not), and a
+            # node's own gradient is never read again once its backward ran
+            self.grad = grad if type(grad) is np.ndarray else np.array(grad, dtype=DTYPE)
         else:
             self.grad += grad
 
@@ -78,7 +80,9 @@ class Tensor:
             if self.requires_grad:
                 self._accum(_unbroadcast(g, self.shape))
             if other.requires_grad:
-                other._accum(_unbroadcast(g, other.shape))
+                go = _unbroadcast(g, other.shape)
+                # self may now hold this very array as its gradient
+                other._accum(go.copy() if go is self.grad else go)
 
         return Tensor._make(out_data, (self, other), backward)
 

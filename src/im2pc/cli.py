@@ -62,7 +62,11 @@ def _print_epoch(epoch, loss, rre, rte):
 def cmd_train(args):
     cfg = TrainConfig()
     if args.config:
-        cfg = apply_overrides(cfg, parse_kv_file(args.config))
+        kv = parse_kv_file(args.config)
+        try:
+            cfg = apply_overrides(cfg, kv)
+        except (KeyError, ValueError) as e:
+            raise MalformedFile(f"{args.config}: bad training config: {e}") from e
     scenes = [read_scene(d) for d in _scene_dirs(args.data)]
     model = RegistrationNet(desk_config(), seed=cfg.seed)
     log_path = args.out + ".log.csv"
@@ -162,16 +166,27 @@ def cmd_bench_knn(args):
     return 0
 
 
+def positive_int(text):
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="im2pc")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate synthetic scenes")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=positive_int, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--mode", choices=("large", "coarse", "decalib"), default="coarse")
-    g.add_argument("--points", type=int, default=512)
+    g.add_argument("--points", type=positive_int, default=512)
     g.set_defaults(fn=cmd_gen)
 
     t = sub.add_parser("train", help="train on a generated dataset")
@@ -194,9 +209,9 @@ def build_parser():
     i.set_defaults(fn=cmd_infer)
 
     b = sub.add_parser("bench-knn", help="compare grouping against brute force")
-    b.add_argument("--n", type=int, default=2000)
-    b.add_argument("--trials", type=int, default=3)
-    b.add_argument("--k", type=int, default=16)
+    b.add_argument("--n", type=positive_int, default=2000)
+    b.add_argument("--trials", type=positive_int, default=3)
+    b.add_argument("--k", type=positive_int, default=16)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_bench_knn)
     return p

@@ -102,6 +102,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.lr_decay < 1.0):
             raise ValueError("lr_decay must lie in (0, 1)")
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not (0.0 <= self.holdout_frac < 1.0):
+            raise ValueError("holdout_frac must lie in [0, 1)")
+        if len(self.betas) != 2:
+            raise ValueError("betas needs two values")
 
 
 def parse_kv_file(path) -> dict:

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NoCandidates
-from .geometry import DEFAULT_Z_MIN, SphericalConfig
+from .errors import IndexMismatch, NoCandidates
+from .geometry import DEFAULT_Z_MIN, CameraIntrinsics, SphericalConfig
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import FeatureImage
@@ -36,6 +36,15 @@ class MixtureSpec:
             raise ValueError(f"unknown mixture mode {self.mode!r}")
         if self.k < 1 or self.k2 < 1:
             raise ValueError("neighbor counts must be >= 1")
+
+
+@dataclass
+class StageNeighbours:
+    """A stage's fixed searches: pixel candidates on the normalized plane and
+    the LST neighbours of each point."""
+    pixels: Optional[np.ndarray]   # (N, k) pixel rows; None in "all" mode
+    lst_idx: np.ndarray            # (N, k2) neighbour rows
+    lst_mask: np.ndarray           # (N, k2) True on valid slots
 
 
 @dataclass
@@ -66,8 +75,12 @@ def inverse_similarity(point_feats: Tensor, pixel_feats: Tensor) -> Tensor:
 
 def normalized_pixel_grid(img: FeatureImage) -> np.ndarray:
     """(M, 2) pixel coordinates inverse-projected onto the normalized plane."""
-    K = img.intrinsics
-    coords = img.pixel_coords.reshape(-1, 2)
+    return normalized_pixels(img.pixel_coords, img.intrinsics)
+
+
+def normalized_pixels(pixel_coords: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
+    """normalized_pixel_grid from the (H, W, 2) coordinates and K alone."""
+    coords = pixel_coords.reshape(-1, 2)
     return np.stack([(coords[:, 0] - K.cx) / K.fx, (coords[:, 1] - K.cy) / K.fy], axis=1)
 
 
@@ -113,10 +126,35 @@ class CostVolumeModule(Module):
             raise ValueError("salience/LST weight widths must match the IC width")
         self.out_dim = ic_dims[-1]
 
+    # -- fixed searches -----------------------------------------------------
+
+    def neighbours(self, positions: np.ndarray, spherical: Optional[np.ndarray],
+                   pixel_plane: np.ndarray, cfg: SphericalConfig,
+                   z_min: float = DEFAULT_Z_MIN) -> StageNeighbours:
+        """The searches of IC generation and LST embedding: the k nearest
+        pixels of each point on the normalized plane ("knn" mode), and its
+        LST neighbours, projection-aware or, without spherical coordinates,
+        brute force."""
+        pixels = None
+        if self.spec.mode == "knn":
+            pixels = knn_pixel_candidates(normalized_points(positions, z_min),
+                                          pixel_plane, self.spec.k)
+        N = positions.shape[0]
+        k2 = min(self.spec.k2, N)
+        if spherical is None:
+            idx, mask = brute_force_knn(positions, positions, k2, self.spec.lst_dist)
+        else:
+            cloud = PointCloud(positions, np.zeros((N, 1)), spherical=spherical)
+            gspec = GroupingSpec(k2, self.spec.lst_kernel, self.spec.lst_dist)
+            idx, mask = projection_aware_knn(cloud, cloud, gspec, cfg)
+        return StageNeighbours(pixels, idx, mask)
+
     # -- IC generation ------------------------------------------------------
 
     def ic_generate(self, pos_t: Tensor, f: Tensor, img: FeatureImage,
-                    train: bool, z_min: float = DEFAULT_Z_MIN) -> Tensor:
+                    train: bool, pixels: Optional[np.ndarray] = None) -> Tensor:
+        """Implicit correspondences; "knn" mode mixes the (N, k) candidate
+        `pixels` found by `neighbours`, "all" mode every pixel."""
         M = img.pixel_count
         if M == 0:
             raise NoCandidates("image level has no pixels")
@@ -135,12 +173,12 @@ class CostVolumeModule(Module):
             parts = [s, hhat.reshape(1, M, -1).broadcast_to((N, M, self.image_dim))]
             o_cand = obar.reshape(1, M, 2).broadcast_to((N, M, 2))
         else:
+            if pixels is None:
+                raise IndexMismatch("knn mode needs the pixel candidates of `neighbours`")
             k1 = self.spec.k
-            pbar = normalized_points(pos_t.data, z_min)
-            cand = knn_pixel_candidates(pbar, obar.data, k1)  # (N, k1)
-            s = zf.reshape(N, 1, -1).broadcast_to((N, k1, self.image_dim)) * zg.gather(cand)
+            s = zf.reshape(N, 1, -1).broadcast_to((N, k1, self.image_dim)) * zg.gather(pixels)
             parts = [s]
-            o_cand = obar.gather(cand)
+            o_cand = obar.gather(pixels)
         p_cand = pos_t.reshape(N, 1, 3).broadcast_to((N, k1, 3))
         h = self.ic_mlp(ad.concat(parts + [o_cand, p_cand], axis=2), train)
         r = self.pos_fc(ad.concat([p_cand, o_cand], axis=2))
@@ -150,16 +188,14 @@ class CostVolumeModule(Module):
 
     # -- LST embedding ------------------------------------------------------
 
-    def lst_embed(self, pos_t: Tensor, spherical: np.ndarray, f: Tensor,
-                  ic: Tensor, cfg: SphericalConfig, train: bool) -> Tensor:
+    def lst_embed(self, pos_t: Tensor, f: Tensor, ic: Tensor, idx: np.ndarray,
+                  mask: np.ndarray, train: bool) -> Tensor:
+        """Mix each point's neighbours' ICs over its (N, k2) LST neighbour
+        rows `idx`; slots where `mask` is False take no weight."""
         N = pos_t.shape[0]
-        k2 = min(self.spec.k2, N)
-        if spherical is None:
-            idx, mask = brute_force_knn(pos_t.data, pos_t.data, k2, self.spec.lst_dist)
-        else:
-            cloud = PointCloud(pos_t.data, np.zeros((N, 1)), spherical=spherical)
-            gspec = GroupingSpec(k2, self.spec.lst_kernel, self.spec.lst_dist)
-            idx, mask = projection_aware_knn(cloud, cloud, gspec, cfg)
+        if idx.shape[0] != N:
+            raise IndexMismatch(f"{idx.shape[0]} LST groups vs {N} points")
+        k2 = idx.shape[1]
         p_m = pos_t.gather(idx)                              # (N, k2, 3)
         p_i = pos_t.reshape(N, 1, 3).broadcast_to((N, k2, 3))
         rel = p_m - p_i
@@ -177,7 +213,14 @@ class CostVolumeModule(Module):
     def __call__(self, pos_t: Tensor, spherical: Optional[np.ndarray], f: Tensor,
                  img: FeatureImage, cfg: SphericalConfig, train: bool,
                  level: int, point_ref: PointCloud,
-                 z_min: float = DEFAULT_Z_MIN) -> CostVolume:
-        ic = self.ic_generate(pos_t, f, img, train, z_min=z_min)
-        e = self.lst_embed(pos_t, spherical, f, ic, cfg, train)
+                 z_min: float = DEFAULT_Z_MIN,
+                 neighbours: Optional[StageNeighbours] = None) -> CostVolume:
+        """IC generation then LST embedding. Without `neighbours` (a scene
+        geometry's, for the coarse stage) the searches run on `pos_t` now,
+        as the fine stage's must: its points move with the coarse pose."""
+        if neighbours is None:
+            neighbours = self.neighbours(pos_t.data, spherical, normalized_pixel_grid(img),
+                                         cfg, z_min)
+        ic = self.ic_generate(pos_t, f, img, train, pixels=neighbours.pixels)
+        e = self.lst_embed(pos_t, f, ic, neighbours.lst_idx, neighbours.lst_mask, train)
         return CostVolume(e, level, point_ref)

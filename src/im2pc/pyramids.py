@@ -56,19 +56,26 @@ class ImagePyramid(Module):
                 c = out
             self.layers.append(_BlockList(blocks))
 
-    def __call__(self, image: Tensor, intrinsics: CameraIntrinsics, train: bool):
-        levels = []
-        x = image
+    def level_grids(self, h: int, w: int) -> list:
+        """Pixel coordinates of each level's cells for an h x w input; they
+        depend only on the image shape, so a scene's geometry can hold them."""
+        grids = []
         cum = 1
-        for li, layer in enumerate(self.layers):
-            for block in layer.blocks:
-                x = block(x, train)
-            sh, sw = self.layer_strides[li]
+        for sh, sw in self.layer_strides:
             if sh != sw:
                 raise ShapeMismatch((sh, sw), (sh, sh), "anisotropic image strides unsupported")
             cum *= sh
-            h, w = x.shape[0], x.shape[1]
-            levels.append(FeatureImage(x, cell_centers(h, w, cum), intrinsics, li + 1))
+            grids.append(cell_centers(h // cum, w // cum, cum))
+        return grids
+
+    def __call__(self, image: Tensor, intrinsics: CameraIntrinsics, train: bool):
+        grids = self.level_grids(image.shape[0], image.shape[1])
+        levels = []
+        x = image
+        for li, layer in enumerate(self.layers):
+            for block in layer.blocks:
+                x = block(x, train)
+            levels.append(FeatureImage(x, grids[li], intrinsics, li + 1))
         return levels
 
 
@@ -100,6 +107,14 @@ def knn_group(centers: PointCloud, candidates: PointCloud, spec: GroupingSpec,
     return projection_aware_knn(centers, candidates, spec, cfg)
 
 
+@dataclass
+class LevelGeometry:
+    """One point level's fixed sampling and grouping."""
+    centers: PointCloud       # the level's points; their features are placeholders
+    centers_idx: np.ndarray   # (M,) their rows in the level below
+    idx: np.ndarray           # (M, k) each center's neighbour rows in the level below
+
+
 class SetAbstraction(Module):
     """Group -> shared MLP -> per-group max-pool (one pyramid level)."""
 
@@ -107,8 +122,10 @@ class SetAbstraction(Module):
         self.spec = spec
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
-    def __call__(self, cloud: PointCloud, cfg: SphericalConfig, train: bool,
-                 strides: tuple | None = None):
+    def sample(self, cloud: PointCloud, cfg: SphericalConfig,
+               strides: tuple | None = None) -> LevelGeometry:
+        """Centers by cell_sample, or by FPS when the cloud has no spherical
+        coordinates, and their KNN groups in `cloud`."""
         if cloud.spherical is None:
             sh, sw = self.spec.strides   # per-level reduction ratio
             m = max(1, cloud.count // (sh * sw))
@@ -119,15 +136,18 @@ class SetAbstraction(Module):
                 cloud, self.spec.strides if strides is None else strides)
         if centers_idx.size == 0:
             raise EmptyLevel(f"stride sampling left no points at level {cloud.level + 1}")
-        center_pos = cloud.positions[centers_idx]
         center_sph = None if cloud.spherical is None else cloud.spherical[centers_idx]
-        centers = PointCloud(center_pos, np.zeros((centers_idx.size, 1)),
+        centers = PointCloud(cloud.positions[centers_idx], np.zeros((centers_idx.size, 1)),
                              spherical=center_sph, level=cloud.level + 1)
         idx, _mask = knn_group(centers, cloud, self.spec, cfg)
-        grouped = gather_group(cloud.features, cloud.positions, idx, center_pos)
+        return LevelGeometry(centers, centers_idx, idx)
+
+    def __call__(self, cloud: PointCloud, geo: LevelGeometry, train: bool) -> PointCloud:
+        centers = geo.centers
+        grouped = gather_group(cloud.features, cloud.positions, geo.idx, centers.positions)
         pooled = self.mlp(grouped, train).max(axis=1)
-        out = PointCloud(center_pos, pooled, spherical=center_sph, level=cloud.level + 1)
-        return out, centers_idx, idx
+        return PointCloud(centers.positions, pooled, spherical=centers.spherical,
+                          level=centers.level)
 
 
 class PointPyramid(Module):
@@ -138,17 +158,24 @@ class PointPyramid(Module):
             self.levels.append(SetAbstraction(f"{name}.l{li + 1}", d, dims, spec, rng))
             d = dims[-1]
 
-    def __call__(self, cloud: PointCloud, cfg: SphericalConfig, train: bool):
-        out = [cloud]
+    def sample(self, cloud: PointCloud, cfg: SphericalConfig) -> list:
+        """Every level's LevelGeometry, from the input cloud alone."""
+        out = []
         cum_h, cum_w = 1, 1
-        for li, level in enumerate(self.levels):
+        for level in self.levels:
             # spherical coordinates stay in level-0 cells, so cell
             # quantization needs the product of the strides applied so far
             sh, sw = level.spec.strides
             cum_h *= sh
             cum_w *= sw
-            nxt, _, _ = level(out[-1], cfg, train, strides=(cum_h, cum_w))
-            out.append(nxt)
+            out.append(level.sample(cloud, cfg, strides=(cum_h, cum_w)))
+            cloud = out[-1].centers
+        return out
+
+    def __call__(self, cloud: PointCloud, geometry: list, train: bool):
+        out = [cloud]
+        for level, geo in zip(self.levels, geometry, strict=True):
+            out.append(level(out[-1], geo, train))
         return out
 
 
@@ -159,10 +186,14 @@ class ContextGather(Module):
         self.spec = spec
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
-    def __call__(self, cv: Tensor, cloud: PointCloud, cfg: SphericalConfig, train: bool):
-        if cv.shape[0] != cloud.count:
-            raise IndexMismatch(f"{cv.shape[0]} cost volumes vs {cloud.count} points")
-        idx, _ = knn_group(cloud, cloud, self.spec, cfg)
+    def group(self, cloud: PointCloud, cfg: SphericalConfig) -> np.ndarray:
+        """(N, k) neighbour rows of every point of `cloud` in itself."""
+        return knn_group(cloud, cloud, self.spec, cfg)[0]
+
+    def __call__(self, cv: Tensor, cloud: PointCloud, idx: np.ndarray, train: bool):
+        if cv.shape[0] != cloud.count or idx.shape[0] != cloud.count:
+            raise IndexMismatch(f"{cv.shape[0]} cost volumes and {idx.shape[0]} groups "
+                                f"vs {cloud.count} points")
         grouped = gather_group(cv, cloud.positions, idx, cloud.positions)
         return self.mlp(grouped, train).max(axis=1)
 
@@ -177,12 +208,16 @@ class Upsample(Module):
         self.mlp = SharedMlp(f"{name}.mlp", coarse_dim + 3, mlp_dims, rng)
         self.fc = Linear(f"{name}.fc", fine_dim + mlp_dims[-1], out_dim, rng)
 
+    def group(self, fine_cloud: PointCloud, coarse_cloud: PointCloud,
+              cfg: SphericalConfig) -> np.ndarray:
+        """(N_fine, k) coarse neighbour rows of every fine point."""
+        return knn_group(fine_cloud, coarse_cloud, self.spec, cfg)[0]
+
     def __call__(self, coarse_vals: Tensor, coarse_cloud: PointCloud,
-                 fine_cloud: PointCloud, fine_feats: Tensor,
-                 cfg: SphericalConfig, train: bool):
-        if coarse_vals.shape[0] != coarse_cloud.count:
-            raise IndexMismatch("coarse values misaligned with coarse points")
-        idx, _ = knn_group(fine_cloud, coarse_cloud, self.spec, cfg)
+                 fine_cloud: PointCloud, fine_feats: Tensor, idx: np.ndarray,
+                 train: bool):
+        if coarse_vals.shape[0] != coarse_cloud.count or idx.shape[0] != fine_cloud.count:
+            raise IndexMismatch("coarse values or groups misaligned with the points")
         grouped = gather_group(coarse_vals, coarse_cloud.positions, idx,
                                fine_cloud.positions)
         pooled = self.mlp(grouped, train).max(axis=1)

@@ -11,8 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .cost_volume import CostVolumeModule
-from .errors import DegenerateQuaternion, ShapeMismatch
+from .cost_volume import CostVolumeModule, StageNeighbours, normalized_pixels
+from .errors import DegenerateQuaternion, IndexMismatch, ShapeMismatch
 from .geometry import (CameraIntrinsics, PoseQT, canonical_sign, quat_mul, quat_rotate,
                        spherical_project_many)
 from .nn_blocks import Linear, SharedMlp
@@ -28,6 +28,33 @@ def quat_normalize_t(q: Tensor) -> Tensor:
     q = q / n
     # canonical sign is piecewise constant, so a data-derived factor is safe
     return q * canonical_sign(q.data)
+
+
+@dataclass
+class SceneGeometry:
+    """Everything a forward needs that depends only on the cloud, K and the
+    image shape, none of it learned: each point level's centers and groups,
+    the context and upsample groups, and the coarse stage's pixel candidates
+    and LST neighbours. RegistrationNet.geometry builds it; every forward on
+    the same scene can reuse it. The fine stage's searches follow the coarse
+    pose, so each forward runs them."""
+    positions: np.ndarray       # (N, 3) the cloud it was built from
+    image_shape: tuple          # (H, W)
+    K: CameraIntrinsics
+    levels: list                # pyramids.LevelGeometry per point level
+    context: np.ndarray         # (N4, k) level-4 rows grouped around each level-4 point
+    upsample: np.ndarray        # (N3, k) level-4 rows around each level-3 point
+    coarse: StageNeighbours
+
+    def check(self, cloud: PointCloud, image, K: CameraIntrinsics):
+        """Refuse a geometry built from another cloud, image shape or camera."""
+        if cloud.count != self.positions.shape[0] or not (
+                cloud.positions is self.positions
+                or np.array_equal(cloud.positions, self.positions)):
+            raise IndexMismatch(f"geometry of a {self.positions.shape[0]}-point cloud "
+                                f"used with another {cloud.count}-point cloud")
+        if tuple(image.shape[:2]) != self.image_shape or K != self.K:
+            raise IndexMismatch("geometry built for another image shape or camera")
 
 
 @dataclass
@@ -106,34 +133,51 @@ class RegistrationNet(Module):
 
     # -- stages -------------------------------------------------------------
 
-    def extract(self, cloud: PointCloud, image, K: CameraIntrinsics, train: bool):
-        """Image and point pyramids. Without spherical coordinates (the FPS
-        strategy) every layer below samples by FPS and groups by brute force."""
+    def geometry(self, cloud: PointCloud, image, K: CameraIntrinsics) -> SceneGeometry:
+        """The scene's fixed sampling and searches. Without spherical
+        coordinates (the FPS strategy) every level samples by FPS and groups
+        by brute force."""
         cfg = self.cfg
-        if cfg.use_fps:
-            cloud = PointCloud(cloud.positions, cloud.features, level=cloud.level)
-        elif cloud.spherical is None:
-            sph = spherical_project_many(cloud.positions, cfg.spherical)
-            cloud = PointCloud(cloud.positions, cloud.features, spherical=sph,
-                               level=cloud.level)
+        sph = None
+        if not cfg.use_fps:
+            sph = cloud.spherical
+            if sph is None:
+                sph = spherical_project_many(cloud.positions, cfg.spherical)
+        base = PointCloud(cloud.positions, cloud.features, spherical=sph, level=cloud.level)
+        levels = self.point_pyramid.sample(base, cfg.spherical)
+        cloud3, cloud4 = levels[2].centers, levels[3].centers
+        grid = self.image_pyramid.level_grids(image.shape[0], image.shape[1])[2]
+        coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical,
+                                           normalized_pixels(grid, K), cfg.spherical,
+                                           cfg.z_min)
+        # up_e and up_m are built from one spec, so they share one search
+        return SceneGeometry(cloud.positions, tuple(image.shape[:2]), K, levels,
+                             self.context.group(cloud4, cfg.spherical),
+                             self.up_e.group(cloud3, cloud4, cfg.spherical), coarse)
+
+    def extract(self, cloud: PointCloud, image, K: CameraIntrinsics,
+                geometry: SceneGeometry, train: bool):
+        """Image and point pyramids over the scene's geometry."""
+        geometry.check(cloud, image, K)
         img_levels = self.image_pyramid(ad.as_tensor(image), K, train)
-        point_levels = self.point_pyramid(cloud, cfg.spherical, train)
+        point_levels = self.point_pyramid(cloud, geometry.levels, train)
         return img_levels, point_levels
 
-    def run_coarse(self, img_levels, point_levels, train: bool,
+    def run_coarse(self, img_levels, point_levels, geometry: SceneGeometry, train: bool,
                    rng: Optional[np.random.Generator] = None) -> StageOutput:
         cfg = self.cfg
         cloud4 = point_levels[4]
         pos4 = Tensor(cloud4.positions)
         cv4 = self.cv_coarse(pos4, cloud4.spherical, cloud4.features, img_levels[2],
                              cfg.spherical, train, level=4, point_ref=cloud4,
-                             z_min=cfg.z_min)
-        e4new = self.context(cv4.entries, cloud4, cfg.spherical, train)
+                             z_min=cfg.z_min, neighbours=geometry.coarse)
+        e4new = self.context(cv4.entries, cloud4, geometry.context, train)
         m4 = self.mask_coarse(ad.concat([e4new, cloud4.features], axis=1), train)
         q4, t4 = self.regress_coarse(e4new, m4, cfg.dropout, train, rng)
         return StageOutput(PoseQT(q4.data, t4.data), q4, t4, e4new, m4)
 
-    def run_fine(self, img_levels, point_levels, coarse: StageOutput, train: bool,
+    def run_fine(self, img_levels, point_levels, coarse: StageOutput,
+                 geometry: SceneGeometry, train: bool,
                  rng: Optional[np.random.Generator] = None) -> StageOutput:
         cfg = self.cfg
         cloud3 = point_levels[3]
@@ -147,9 +191,9 @@ class RegistrationNet(Module):
                            cfg.spherical, train, level=3, point_ref=cloud3,
                            z_min=cfg.z_min)
         ue3 = self.up_e(coarse.cost_volume, cloud4, cloud3, cloud3.features,
-                        cfg.spherical, train)
+                        geometry.upsample, train)
         um3 = self.up_m(coarse.mask_logits, cloud4, cloud3, cloud3.features,
-                        cfg.spherical, train)
+                        geometry.upsample, train)
         oe3 = self.oe_mlp(ad.concat([cv3.entries, ue3, cloud3.features], axis=1), train)
         m3 = self.mask_fine(ad.concat([oe3, um3, cloud3.features], axis=1), train)
         dq, dt = self.regress_fine(oe3, m3, cfg.dropout, train, rng)
@@ -158,8 +202,13 @@ class RegistrationNet(Module):
         return StageOutput(PoseQT(q3.data, t3.data), q3, t3, oe3, m3)
 
     def __call__(self, cloud: PointCloud, image, K: CameraIntrinsics,
-                 train: bool = False, rng: Optional[np.random.Generator] = None):
-        img_levels, point_levels = self.extract(cloud, image, K, train)
-        coarse = self.run_coarse(img_levels, point_levels, train, rng)
-        fine = self.run_fine(img_levels, point_levels, coarse, train, rng)
+                 train: bool = False, rng: Optional[np.random.Generator] = None,
+                 geometry: Optional[SceneGeometry] = None):
+        """Both stages. `geometry` is RegistrationNet.geometry of this cloud,
+        image shape and K; without it the forward builds its own."""
+        if geometry is None:
+            geometry = self.geometry(cloud, image, K)
+        img_levels, point_levels = self.extract(cloud, image, K, geometry, train)
+        coarse = self.run_coarse(img_levels, point_levels, geometry, train, rng)
+        fine = self.run_fine(img_levels, point_levels, coarse, geometry, train, rng)
         return coarse, fine

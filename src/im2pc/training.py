@@ -79,12 +79,14 @@ def clip_grad_norm(params: list[Parameter], max_norm: float):
     return total
 
 
-def evaluate_scenes(model: RegistrationNet, scenes) -> tuple[float, float]:
-    """Mean RRE (deg) and RTE over scenes, no gating."""
+def evaluate_scenes(model: RegistrationNet, scenes, geometries=None) -> tuple[float, float]:
+    """Mean RRE (deg) and RTE over scenes, no gating. `geometries`, when
+    given, holds each scene's RegistrationNet.geometry."""
     rres, rtes = [], []
-    for scene in scenes:
+    for i, scene in enumerate(scenes):
         target = scene.gt_pose.inverse()
-        _, fine = model(scene.cloud, scene.image, scene.K, train=False)
+        geometry = None if geometries is None else geometries[i]
+        _, fine = model(scene.cloud, scene.image, scene.K, train=False, geometry=geometry)
         rre, rte = rre_rte(fine.pose, target)
         rres.append(rre)
         rtes.append(rte)
@@ -102,10 +104,21 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
     n_hold = int(round(len(scenes) * cfg.holdout_frac))
-    hold = scenes[len(scenes) - n_hold:]
-    trainset = scenes[: len(scenes) - n_hold] or scenes
+    every = list(range(len(scenes)))
+    hold = every[len(scenes) - n_hold:]
+    trainset = every[: len(scenes) - n_hold] or every
     if not hold:
         hold = trainset
+    # each scene's fixed sampling and searches, built on first use and
+    # reused by every later step and holdout evaluation of this call
+    geometries = [None] * len(scenes)
+
+    def geometry(i):
+        if geometries[i] is None:
+            s = scenes[i]
+            geometries[i] = model.geometry(s.cloud, s.image, s.K)
+        return geometries[i]
+
     model.cfg.dropout = cfg.dropout
     lp = LossParams(cfg.sq_init, cfg.st_init)
     params = model.named_parameters() + lp.named_parameters()
@@ -122,14 +135,14 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
         for epoch in range(cfg.epochs):
             opt.lr = cfg.lr * (1.0 - cfg.lr_decay) ** epoch
             epoch_losses = []
-            bs = max(1, cfg.batch_size)
-            for bi in range(0, len(trainset), bs):
-                batch = trainset[bi: bi + bs]
+            for bi in range(0, len(trainset), cfg.batch_size):
+                batch = trainset[bi: bi + cfg.batch_size]
                 loss = None
-                for scene in batch:
+                for i in batch:
+                    scene = scenes[i]
                     target = scene.gt_pose.inverse()
                     coarse, fine = model(scene.cloud, scene.image, scene.K,
-                                         train=True, rng=rng)
+                                         train=True, rng=rng, geometry=geometry(i))
                     one = total_loss(coarse, fine, target, lp,
                                      alpha3=cfg.alpha3, alpha4=cfg.alpha4)
                     loss = one if loss is None else loss + one
@@ -147,11 +160,12 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
                     break
             last_epoch = epoch == cfg.epochs - 1 or \
                 (max_steps is not None and steps >= max_steps)
-            if epoch % max(1, cfg.eval_every) != 0 and not last_epoch:
+            if epoch % cfg.eval_every != 0 and not last_epoch:
                 if log_fn:
                     log_fn(epoch, float(np.mean(epoch_losses)), None, None)
                 continue
-            rre, rte = evaluate_scenes(model, hold)
+            rre, rte = evaluate_scenes(model, [scenes[i] for i in hold],
+                                       [geometry(i) for i in hold])
             row = [epoch, "holdout", float(np.mean(epoch_losses)), rre, rte, opt.lr]
             rows.append(row)
             if writer:

@@ -177,3 +177,67 @@ def test_dropout_inverted_scaling():
     assert np.allclose(out.data[kept], 2.0)
     out.sum().backward()
     assert np.allclose(x.grad[kept], 2.0) and np.allclose(x.grad[~kept], 0.0)
+
+
+def copying_accum(self, grad):
+    """Tensor._accum as it was: every first gradient copied on arrival."""
+    if self.grad is None:
+        self.grad = np.array(grad, dtype=ad.DTYPE)
+    else:
+        self.grad += grad
+
+
+def fan_out_x_plus_x(x, p):
+    return ((x + x) * x).sum()
+
+
+def fan_out_reused_summand(x, p):
+    a = x.reshape(2, 6)
+    b = x.reshape(2, 6) * 3.0
+    s = a + b                                  # a is used again below
+    return (s * a).sum() + (a.transpose() @ b).sum() + a.sum()
+
+
+def fan_out_parameter_in_loss(x, p):
+    # a parameter added straight into the loss, as the learned loss scales are
+    q = (x * x).sum()
+    return q * (-p).exp() + p + (x.abs().sum() * (-p).exp() + p)
+
+
+class TestAccumFanOut:
+    """The first gradient a tensor receives is kept as handed over, not
+    copied. Fan-out graphs must give bitwise the gradients of the copying
+    version, and no two tensors may end up sharing one gradient array."""
+
+    @pytest.mark.parametrize("build", [fan_out_x_plus_x, fan_out_reused_summand,
+                                       fan_out_parameter_in_loss])
+    def test_matches_copying_accum(self, build, monkeypatch):
+        rng = np.random.default_rng(21)
+        xv, pv = rng.normal(size=(3, 4)), np.array(0.3)
+
+        def grads():
+            x, p = Tensor(xv, requires_grad=True), Tensor(pv, requires_grad=True)
+            loss = build(x, p)
+            loss.backward()
+            return x.grad, p.grad
+
+        got = grads()
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "_accum", copying_accum)
+            want = grads()
+        for g, w in zip(got, want):
+            if w is None:   # the leaf takes no part in this graph
+                assert g is None
+                continue
+            assert type(g) is np.ndarray
+            np.testing.assert_array_equal(g, w)
+        if got[1] is not None:
+            assert not np.shares_memory(got[0], got[1])
+
+    def test_add_hands_each_parent_its_own_array(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones(3))

@@ -209,6 +209,49 @@ def test_bad_scene_meta_exit_3(trained, tmp_path, capsys, case, cmd):
     assert "data error" in err and "meta.txt" in err
 
 
+BAD_TRAIN_CONFIGS = {  # case: config text
+    "epochs_not_a_number": "epochs=abc\n",
+    "unknown_key": "nosuchkey=1\n",
+    "lr_decay_above_one": "lr_decay=2\n",
+    "epochs_zero": "epochs=0\n",
+    "batch_size_zero": "batch_size=0\n",
+    "eval_every_zero": "eval_every=0\n",
+    "holdout_frac_one": "holdout_frac=1\n",
+    "holdout_frac_negative": "holdout_frac=-0.1\n",
+    "betas_one_value": "betas=0.9\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN_CONFIGS))
+def test_bad_train_config_exit_3(trained, tmp_path, capsys, case):
+    data, _, _ = trained
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(BAD_TRAIN_CONFIGS[case])
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run(capsys, "train", "--data", data, "--config", str(cfg),
+                         "--out", str(ckpt))
+    assert code == 3
+    assert "data error" in err and "train.cfg" in err
+    assert not ckpt.exists() and "checkpoint" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "OUT", "--n", "0"],
+    ["gen", "--out", "OUT", "--n", "-1"],
+    ["gen", "--out", "OUT", "--n", "2", "--points", "0"],
+    ["bench-knn", "--n", "0"],
+    ["bench-knn", "--k", "0"],
+    ["bench-knn", "--trials", "0"],
+])
+def test_non_positive_counts_exit_2(tmp_path, capsys, argv):
+    out_dir = tmp_path / "gen"
+    with pytest.raises(SystemExit) as e:
+        main([str(out_dir) if a == "OUT" else a for a in argv])
+    assert e.value.code == 2
+    assert not out_dir.exists()
+    assert "positive count" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"

@@ -151,7 +151,8 @@ class TestModuleInvariances:
         sph = spherical_project_many(pos, CFG)
         ic = Tensor(rng.normal(size=(6, 5)))
         f = Tensor(rng.normal(size=(6, 6)))
-        out = mod.lst_embed(Tensor(pos), sph, f, ic, CFG, train=False)
+        nb = mod.neighbours(pos, sph, np.zeros((1, 2)), CFG)
+        out = mod.lst_embed(Tensor(pos), f, ic, nb.lst_idx, nb.lst_mask, train=False)
         np.testing.assert_allclose(out.data, ic.data, atol=1e-12)
 
     def test_lst_shift_invariance(self):
@@ -161,9 +162,11 @@ class TestModuleInvariances:
         sph = spherical_project_many(pos, CFG)
         ic = Tensor(rng.normal(size=(8, 5)))
         f = Tensor(rng.normal(size=(8, 6)))
-        base = mod.lst_embed(Tensor(pos), sph, f, ic, CFG, train=False).data
+        nb = mod.neighbours(pos, sph, np.zeros((1, 2)), CFG)
+        base = mod.lst_embed(Tensor(pos), f, ic, nb.lst_idx, nb.lst_mask, train=False).data
         mod.lst_mlp.layers[-1].bias.data[...] -= 3.1
-        shifted = mod.lst_embed(Tensor(pos), sph, f, ic, CFG, train=False).data
+        shifted = mod.lst_embed(Tensor(pos), f, ic, nb.lst_idx, nb.lst_mask,
+                                train=False).data
         np.testing.assert_allclose(shifted, base, atol=1e-9)
 
     def test_point_permutation_equivariance(self):

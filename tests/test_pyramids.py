@@ -66,7 +66,9 @@ class TestSetAbstraction:
         rng = np.random.default_rng(2)
         cloud = make_cloud(rng, 200)
         sa = P.SetAbstraction("sa", 4, (8, 8), GroupingSpec(4, (3, 5), 5.0, (2, 2)), rng)
-        out, centers_idx, idx = sa(cloud, CFG, train=False)
+        geo = sa.sample(cloud, CFG)
+        centers_idx, idx = geo.centers_idx, geo.idx
+        out = sa(cloud, geo, train=False)
         assert out.level == 1
         assert out.count == centers_idx.size
         assert out.features.shape == (out.count, 8)
@@ -84,7 +86,9 @@ class TestSetAbstraction:
         full = make_cloud(rng, 64)
         cloud = PointCloud(full.positions, full.features, level=1)
         sa = P.SetAbstraction("sa", 4, (8,), GroupingSpec(4, (3, 5), 50.0, (2, 2)), rng)
-        out, centers_idx, idx = sa(cloud, CFG, train=False)
+        geo = sa.sample(cloud, CFG)
+        centers_idx, idx = geo.centers_idx, geo.idx
+        out = sa(cloud, geo, train=False)
         assert out.count == 16  # 64 // (2 * 2)
         assert out.spherical is None and out.level == 2
         # FPS is seeded by the level index
@@ -96,7 +100,9 @@ class TestSetAbstraction:
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, 30)
         sa = P.SetAbstraction("sa", 4, (6,), GroupingSpec(5, (33, 129), 1e6, (1, 1)), rng)
-        out, centers_idx, idx = sa(cloud, CFG, train=False)
+        geo = sa.sample(cloud, CFG)
+        centers_idx, idx = geo.centers_idx, geo.idx
+        out = sa(cloud, geo, train=False)
         grouped = P.gather_group(cloud.features, cloud.positions, idx,
                                  cloud.positions[centers_idx])
         manual = sa.mlp(grouped, train=False).data.max(axis=1)
@@ -146,7 +152,7 @@ class TestPointPyramid:
         specs = [GroupingSpec(4, (3, 5), 8.0, (2, 2)) for _ in range(3)]
         specs.append(GroupingSpec(4, (3, 5), 8.0, (1, 2)))
         pyr = P.PointPyramid("pt", 4, ((8,), (8,), (16,), (16,)), specs, rng)
-        levels = pyr(cloud, CFG, train=False)
+        levels = pyr(cloud, pyr.sample(cloud, CFG), train=False)
         assert len(levels) == 5
         assert levels[0] is cloud
         assert [lv.level for lv in levels] == [0, 1, 2, 3, 4]
@@ -160,10 +166,13 @@ class TestContextGather:
         rng = np.random.default_rng(6)
         cloud = make_cloud(rng, 20)
         cg = P.ContextGather("cg", 4, (8, 8), GroupingSpec(4, (5, 9), 50.0), rng)
-        out = cg(cloud.features, cloud, CFG, train=False)
+        idx = cg.group(cloud, CFG)
+        out = cg(cloud.features, cloud, idx, train=False)
         assert out.shape == (20, 8)
         with pytest.raises(IndexMismatch):
-            cg(Tensor(np.zeros((19, 4))), cloud, CFG, train=False)
+            cg(Tensor(np.zeros((19, 4))), cloud, idx, train=False)
+        with pytest.raises(IndexMismatch):
+            cg(cloud.features, cloud, idx[:19], train=False)
 
 
 class TestUpsample:
@@ -173,13 +182,14 @@ class TestUpsample:
         fine = make_cloud(rng, 15, c=5)
         up = P.Upsample("up", 3, 5, (8,), 7, GroupingSpec(3, (33, 129), 1e6), rng)
         cv = rng.normal(size=(6, 3))
+        idx = up.group(fine, coarse, CFG)
 
         def run(arr):
-            return up(Tensor(arr), coarse, fine, fine.features, CFG, train=False)
+            return up(Tensor(arr), coarse, fine, fine.features, idx, train=False)
 
         out = run(cv)
         assert out.shape == (15, 7)
         t = Tensor(cv, requires_grad=True)
-        up(t, coarse, fine, fine.features, CFG, train=False).sum().backward()
+        up(t, coarse, fine, fine.features, idx, train=False).sum().backward()
         num = finite_diff(lambda: float(run(cv).data.sum()), cv)
         assert rel_err(t.grad, num) < 1e-5

@@ -11,10 +11,11 @@ import im2pc.pyramids as P
 import im2pc.registration as R
 import im2pc.geometry as G
 from im2pc.autodiff import Tensor
-from im2pc.config import desk_config
+from im2pc.config import TrainConfig, desk_config
 from im2pc.data import SceneConfig, synth_scene
-from im2pc.errors import DegenerateQuaternion
+from im2pc.errors import DegenerateQuaternion, IndexMismatch
 from im2pc.sampling import PointCloud
+from im2pc.training import LossParams, total_loss, train as run_train
 from util import finite_diff, rel_err
 
 
@@ -168,9 +169,10 @@ class TestNetwork:
         cfg = desk_config()
         net = R.RegistrationNet(cfg, seed=2)
         scene = synth_scene(2, SceneConfig(n_points=128))
-        img_l, pt_l = net.extract(scene.cloud, scene.image, scene.K, train=False)
-        coarse = net.run_coarse(img_l, pt_l, train=False)
-        fine = net.run_fine(img_l, pt_l, coarse, train=False)
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        img_l, pt_l = net.extract(scene.cloud, scene.image, scene.K, geo, train=False)
+        coarse = net.run_coarse(img_l, pt_l, geo, train=False)
+        fine = net.run_fine(img_l, pt_l, coarse, geo, train=False)
         # recover the delta and re-compose; must land exactly on the fine pose
         delta_q = G.quat_mul(Tensor(fine.q_t.data),
                              Tensor(G.PoseQT(coarse.q_t.data, np.zeros(3)).inverse().q)).data
@@ -220,3 +222,123 @@ class TestGroupingStrategy:
         net = R.RegistrationNet(desk_config(), seed=0)
         scene = synth_scene(4, SceneConfig(n_points=128))
         check_stage_poses(*net(scene.cloud, scene.image, scene.K, train=False))
+
+
+def stage_arrays(coarse, fine):
+    return [a.data for st in (coarse, fine)
+            for a in (st.q_t, st.t_t, st.cost_volume, st.mask_logits)] + \
+        [st.pose.q for st in (coarse, fine)] + [st.pose.t for st in (coarse, fine)]
+
+
+def forward_and_grads(net, scene, train, geometry):
+    """Stage outputs and every parameter gradient of one forward + backward."""
+    lp = LossParams()
+    params = net.named_parameters() + lp.named_parameters()
+    for p in params:
+        p.zero_grad()
+    coarse, fine = net(scene.cloud, scene.image, scene.K, train=train,
+                       rng=np.random.default_rng(0), geometry=geometry)
+    total_loss(coarse, fine, scene.gt_pose.inverse(), lp).backward()
+    return stage_arrays(coarse, fine), [p.grad for p in params]
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap (module, name) functions where the layers look them up; returns
+    the call counts by "module.name"."""
+    counts = {}
+    for module, name in targets:
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        counts[key] = 0
+
+        def wrapped(*args, fn=getattr(module, name), key=key, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
+SEARCHES = [(P, "cell_sample"), (P, "projection_aware_knn"),
+            (CV, "projection_aware_knn"), (CV, "knn_pixel_candidates"),
+            (R, "spherical_project_many")]
+
+
+class TestSceneGeometry:
+    @pytest.mark.parametrize("use_fps", [False, True])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_reused_geometry_is_bitwise_a_fresh_forward(self, use_fps, train):
+        cfg = dataclasses.replace(desk_config(), use_fps=use_fps)
+        fresh_net, reuse_net = R.RegistrationNet(cfg, seed=5), R.RegistrationNet(cfg, seed=5)
+        scene = synth_scene(7, SceneConfig(n_points=256, mode="large"))
+        geo = reuse_net.geometry(scene.cloud, scene.image, scene.K)
+        for _ in range(2):  # the second forward reuses a geometry already used once
+            want = forward_and_grads(fresh_net, scene, train, None)
+            got = forward_and_grads(reuse_net, scene, train, geo)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            np.testing.assert_array_equal(g, w)
+        assert all(g is not None for g in got[1])
+
+    def test_one_forward_makes_eight_knn_searches(self, monkeypatch):
+        # four levels, context, one upsample search shared by both upsample
+        # layers, and the LST search of each stage
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(4, SceneConfig(n_points=128))
+        counts = count_calls(monkeypatch, SEARCHES)
+        net(scene.cloud, scene.image, scene.K, train=False)
+        assert counts["pyramids.projection_aware_knn"] + \
+            counts["cost_volume.projection_aware_knn"] == 8
+        assert counts["cost_volume.knn_pixel_candidates"] == 2
+
+    def test_train_searches_fixed_neighbourhoods_once_per_scene(self, monkeypatch, tmp_path):
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scenes = [synth_scene(20 + i, SceneConfig(n_points=128)) for i in range(4)]
+        forwards = []
+        run_fine = R.RegistrationNet.run_fine
+        monkeypatch.setattr(R.RegistrationNet, "run_fine",
+                            lambda self, *a, **k: forwards.append(1) or run_fine(self, *a, **k))
+        counts = count_calls(monkeypatch, SEARCHES)
+        cfg = TrainConfig(epochs=3, batch_size=2, holdout_frac=0.25, dropout=0.0, seed=0)
+        run_train(net, scenes, cfg, str(tmp_path / "m.ckpt"))
+        # 3 scenes trained and 1 held out, over 3 epochs with an evaluation each
+        n = len(forwards)
+        assert n == 3 * 3 + 3 * 1
+        assert counts == {
+            "pyramids.cell_sample": 4 * 4,                     # levels, once per scene
+            "pyramids.projection_aware_knn": 4 * (4 + 1 + 1),  # levels, context, upsample
+            "cost_volume.projection_aware_knn": 4 + n,         # coarse LST, fine LST
+            "cost_volume.knn_pixel_candidates": 4 + n,         # coarse, fine
+            "registration.spherical_project_many": 4 + n,      # input, warped level 3
+        }
+
+    def test_training_with_reuse_matches_fresh_geometry(self, monkeypatch, tmp_path):
+        scenes = [synth_scene(30 + i, SceneConfig(n_points=128)) for i in range(3)]
+        cfg = TrainConfig(epochs=2, batch_size=2, holdout_frac=0.0, dropout=0.5, seed=1)
+
+        def trained():
+            net = R.RegistrationNet(desk_config(), seed=1)
+            _, rows = run_train(net, scenes, cfg, str(tmp_path / "m.ckpt"))
+            return rows, [p.data.copy() for p in net.named_parameters()]
+
+        rows, weights = trained()
+        call = R.RegistrationNet.__call__
+        monkeypatch.setattr(R.RegistrationNet, "__call__",
+                            lambda self, *a, geometry=None, **k: call(self, *a, **k))
+        fresh_rows, fresh_weights = trained()
+        assert rows == fresh_rows
+        for w, f in zip(weights, fresh_weights):
+            np.testing.assert_array_equal(w, f)
+
+    def test_geometry_of_another_cloud_is_refused(self):
+        net = R.RegistrationNet(desk_config(), seed=0)
+        a = synth_scene(1, SceneConfig(n_points=128))
+        geo = net.geometry(a.cloud, a.image, a.K)
+        moved = PointCloud(a.cloud.positions + 0.01, a.cloud.features)
+        fewer = synth_scene(3, SceneConfig(n_points=96)).cloud
+        for cloud in (moved, fewer):   # same point count, then another count
+            with pytest.raises(IndexMismatch):
+                net(cloud, a.image, a.K, train=False, geometry=geo)
+        with pytest.raises(IndexMismatch):
+            net(a.cloud, a.image[:16], a.K, train=False, geometry=geo)
+        with pytest.raises(IndexMismatch):
+            net(a.cloud, a.image, G.CameraIntrinsics(a.K.fx * 2, a.K.fy, a.K.cx, a.K.cy),
+                train=False, geometry=geo)
