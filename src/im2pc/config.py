@@ -100,13 +100,17 @@ class TrainConfig:
     eval_every: int = 1          # holdout evaluation cadence, in epochs
 
     def __post_init__(self):
+        for name in ("lr", "clip_norm"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
         if not (0.0 < self.lr_decay < 1.0):
             raise ValueError("lr_decay must lie in (0, 1)")
         for name in ("epochs", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not (0.0 <= self.holdout_frac < 1.0):
-            raise ValueError("holdout_frac must lie in [0, 1)")
+        for name in ("holdout_frac", "dropout"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1)")
         if len(self.betas) != 2:
             raise ValueError("betas needs two values")
 

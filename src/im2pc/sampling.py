@@ -1,12 +1,12 @@
-"""Point-set downsampling and neighborhood queries.
+"""Point-set downsampling and neighborhood queries, in vectorized numpy.
 
 cell_sample and projection-aware KNN follow the spherical-grid scheme:
-the azimuth axis wraps modulo W, elevation clamps. Both are vectorized
-numpy on every backend; projection-aware KNN visits only the cells of each
-center's kernel window. The numba kernels in _kernels.py serve brute-force
-KNN and FPS; IM2PC_BACKEND=numpy selects their numpy path, which orders and
-pads k > candidate count exactly as the kernels do, and sums squared
-distances coordinate by coordinate in the kernels' order.
+the azimuth axis wraps modulo W, elevation clamps. Projection-aware KNN
+visits only the cells of each center's kernel window; brute-force KNN
+searches every candidate. Both order neighbours by (distance, index), pad
+k > candidate count with the nearest valid index, and take centers in row
+chunks of at most _CHUNK_PAIRS center-candidate pairs, so a search's
+working memory is bounded by that constant, not by M * N.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .autodiff import Tensor
 from .errors import EmptyLevel, MissingSpherical, TooFewPoints
 from .geometry import SphericalConfig
+
+# center-candidate pairs in one row chunk of a KNN search, ~25 bytes each
+_CHUNK_PAIRS = 1 << 20
 
 
 @dataclass
@@ -94,14 +96,26 @@ def _sq_dist(a, b):
     return out
 
 
+def _row_chunks(m, width):
+    """Slices of m rows, `width` pairs a row, at most _CHUNK_PAIRS pairs a slice."""
+    step = max(1, _CHUNK_PAIRS // max(width, 1))
+    return [slice(i, i + step) for i in range(0, m, step)]
+
+
 def _knn_select(centers, candidates, block, k, max_sq):
     """Per-center k-nearest among its row of `block` within sqrt(max_sq).
 
     block is (M, L) candidate indices, -1 marking empty slots, or one (1, N)
     row shared by every center. Neighbours are ordered by (distance, index).
     Slots past the last valid neighbour repeat the nearest valid index, or
-    the globally nearest candidate when nothing is valid.
+    the globally nearest candidate when nothing is valid. Rows are
+    independent, so a search wider than one _row_chunks slice runs per slice.
     """
+    chunks = _row_chunks(centers.shape[0], block.shape[1])
+    if len(chunks) > 1:
+        parts = [_knn_select(centers[r], candidates, block if len(block) == 1 else block[r],
+                             k, max_sq) for r in chunks]
+        return tuple(np.concatenate(p) for p in zip(*parts))
     n = candidates.shape[0]
     d = _sq_dist(centers.T[:, :, None], (c[block] for c in candidates.T))
     keep = (d <= max_sq) & (block >= 0)
@@ -122,10 +136,10 @@ def _knn_select(centers, candidates, block, k, max_sq):
     idx = idx[np.arange(M)[:, None], order]
     mask = slots[:, :k]
     first = idx[:, 0]
-    empty = count == 0
-    if empty.any():  # brute force over all candidates, for these rows only
-        d = _sq_dist(centers[empty].T[:, :, None], candidates.T[:, None, :])
-        first[empty] = np.argmin(d, axis=1)
+    empty = np.flatnonzero(count == 0)
+    for r in _row_chunks(len(empty), n):  # brute force over all candidates, for these rows only
+        e = empty[r]
+        first[e] = np.argmin(_sq_dist(centers[e].T[:, :, None], candidates.T[:, None, :]), axis=1)
     return np.where(mask, idx, first[:, None]), mask
 
 
@@ -136,10 +150,8 @@ def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if candidates.shape[0] == 0:
         raise EmptyLevel("no candidate points")
-    max_sq = max_dist * max_dist
-    if _kernels.backend() == "numba":
-        return _kernels.knn_select(centers, candidates, k, max_sq)
-    return _knn_select(centers, candidates, np.arange(candidates.shape[0])[None], k, max_sq)
+    return _knn_select(centers, candidates, np.arange(candidates.shape[0])[None], k,
+                       max_dist * max_dist)
 
 
 def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
@@ -201,15 +213,11 @@ def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     n = cloud.count
     if m > n:
         raise TooFewPoints(f"asked for {m} of {n} points")
-    start = int(np.random.default_rng(seed).integers(n))
-    if _kernels.backend() == "numba":
-        return _kernels.fps_select(cloud.positions, m, start)
     chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = start
+    chosen[0] = np.random.default_rng(seed).integers(n)
     min_d = np.full(n, np.inf)
     pts = cloud.positions.T
     for step in range(1, m):
-        d = _sq_dist(pts, pts[:, chosen[step - 1]])
-        min_d = np.minimum(min_d, d)
+        min_d = np.minimum(min_d, _sq_dist(pts, pts[:, chosen[step - 1]]))
         chosen[step] = int(np.argmax(min_d))  # argmax ties to the lowest index
     return chosen

@@ -219,6 +219,12 @@ BAD_TRAIN_CONFIGS = {  # case: config text
     "holdout_frac_one": "holdout_frac=1\n",
     "holdout_frac_negative": "holdout_frac=-0.1\n",
     "betas_one_value": "betas=0.9\n",
+    "lr_zero": "lr=0\n",
+    "lr_negative": "lr=-5\n",
+    "clip_norm_negative": "clip_norm=-1\n",
+    "clip_norm_zero": "clip_norm=0\n",
+    "dropout_one": "dropout=1\n",
+    "dropout_negative": "dropout=-0.1\n",
 }
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import im2pc.sampling as S
-from im2pc import _kernels
 from im2pc.errors import MissingSpherical, TooFewPoints
 from im2pc.geometry import SphericalConfig, spherical_project_many
 
@@ -65,6 +64,23 @@ def reference_knn(centers, candidates, window_ok, k, max_sq):
             pad = idx[i, 0]
         idx[i, nv:] = pad
     return idx, mask
+
+
+def reference_fps(positions, m, start):
+    """Slow python oracle: from `start`, repeatedly take the point farthest
+    from those chosen; ties go to the lower index."""
+    chosen = [start]
+    min_d = np.full(positions.shape[0], np.inf)
+    for _ in range(1, m):
+        last = positions[chosen[-1]]
+        best, best_d = -1, -1.0
+        for j in range(positions.shape[0]):
+            d = float(((positions[j] - last) ** 2).sum())
+            min_d[j] = min(min_d[j], d)
+            if min_d[j] > best_d:
+                best, best_d = j, min_d[j]
+        chosen.append(best)
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def argsort_knn(centers, candidates, window_ok, k, max_sq):
@@ -270,6 +286,42 @@ class TestProjectionAwareKnn:
             tracemalloc.stop()
         assert peak < m * n  # less than one byte per (center, candidate) pair
 
+    def test_brute_force_peak_memory_is_bounded_by_the_chunk(self):
+        rng = np.random.default_rng(17)
+        m, n = 2048, 8192
+        centers, cands = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            S.brute_force_knn(centers, cands, 16, max_dist=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # in one piece the search would take ~25 bytes a pair, 420 MB here
+        assert peak < 40 * S._CHUNK_PAIRS  # 42 MB
+
+    def test_many_chunks_match_reference(self, monkeypatch):
+        # chunks of one to a few rows; windows of one row wider than a chunk,
+        # rows with nothing in radius, and k above the candidate count
+        rng = np.random.default_rng(18)
+        empty_rows = short_rows = 0
+        for trial in range(40):
+            monkeypatch.setattr(S, "_CHUNK_PAIRS", int(rng.integers(1, 40)))
+            centers = make_cloud(rng, int(rng.integers(1, 25)))
+            cands = make_cloud(rng, int(rng.integers(1, 30)))
+            k = int(rng.integers(1, 12))
+            spec = S.GroupingSpec(k=k, kernel=(3, 9), max_dist=float(rng.uniform(0.3, 3.0)))
+            window = window_mask(centers.spherical, cands.spherical, spec.kernel, CFG.W)
+            max_sq = spec.max_dist ** 2
+            for got, ok in ((S.projection_aware_knn(centers, cands, spec, CFG), window),
+                            (S.brute_force_knn(centers.positions, cands.positions, k,
+                                               spec.max_dist), np.ones_like(window))):
+                ref = reference_knn(centers.positions, cands.positions, ok, k, max_sq)
+                np.testing.assert_array_equal(got[0], ref[0], err_msg=f"trial {trial}")
+                np.testing.assert_array_equal(got[1], ref[1], err_msg=f"trial {trial}")
+                empty_rows += int((~ref[1].any(axis=1)).sum())
+                short_rows += int((~ref[1].all(axis=1)).sum())
+        assert empty_rows > 0 and short_rows > 0
+
     def test_full_window_equals_brute_force(self):
         rng = np.random.default_rng(8)
         centers = make_cloud(rng, 12)
@@ -311,29 +363,17 @@ class TestProjectionAwareKnn:
         assert mask[0].tolist() == [True, False, False, False]
 
 
-class TestBackendEquality:
-    def test_numpy_and_numba_agree(self, monkeypatch):
-        # the kernels are jitted when numba imports and run as plain Python
-        # when it does not, so this compares two implementations either way
-        rng = np.random.default_rng(11)
-        k = 8
-        monkeypatch.setenv("IM2PC_BACKEND", "numpy")
-        for trial in range(20):
-            centers = make_cloud(rng, 15)
-            cands = make_cloud(rng, 60 if trial % 2 else int(rng.integers(1, 12)))
-            max_dist = 4.0 if trial % 3 else 0.5  # 0.5 leaves rows with nothing valid
-            i1, m1 = S.brute_force_knn(centers.positions, cands.positions, k, max_dist)
-            i2, m2 = _kernels.knn_select(centers.positions, cands.positions, k,
-                                         max_dist ** 2)
-            assert np.array_equal(i1, i2) and np.array_equal(m1, m2), f"trial {trial}"
-            m = min(10, cands.count)
-            f1 = S.farthest_point_sample(cands, m, seed=trial)
-            start = int(np.random.default_rng(trial).integers(cands.count))
-            f2 = _kernels.fps_select(cands.positions, m, start)
-            assert np.array_equal(f1, f2), f"trial {trial}"
-
-
 class TestFarthestPointSample:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            cands = make_cloud(rng, 60 if trial % 2 else int(rng.integers(1, 12)))
+            m = min(10, cands.count)
+            start = int(np.random.default_rng(trial).integers(cands.count))
+            np.testing.assert_array_equal(S.farthest_point_sample(cands, m, seed=trial),
+                                          reference_fps(cands.positions, m, start),
+                                          err_msg=f"trial {trial}")
+
     def test_hand_case_line(self):
         # points on a line; after a seeded start the farthest-first order
         # must alternate between the extremes and then bisect
