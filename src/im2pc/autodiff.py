@@ -277,23 +277,6 @@ class Tensor:
 
         return Tensor._make(self.data[indices], (self,), backward)
 
-    def scatter_add(self, indices, out_len: int):
-        """Rows summed into a (out_len, ...) tensor at `indices` (axis 0).
-
-        `indices` may be any non-negative integer-array shape; it addresses
-        the leading axes of this tensor and the remaining axes carry over to
-        the output.
-        """
-        indices = np.asarray(indices)
-        if indices.shape != self.shape[: indices.ndim]:
-            raise ShapeMismatch(indices.shape, self.shape, "scatter_add indices")
-        out_data = scatter_rows(indices, self.data, out_len)
-
-        def backward(g):
-            self._accum(g[indices])
-
-        return Tensor._make(out_data, (self,), backward)
-
     # -- backward -----------------------------------------------------------
 
     def backward(self):

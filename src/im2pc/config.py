@@ -43,11 +43,6 @@ class ModelConfig:
     middle_dim: int = 256
     dropout: float = 0.5
     z_min: float = 1e-3
-    use_fps: bool = False     # FPS + brute-force KNN fallback (accumulated maps)
-
-
-def kitti_config() -> ModelConfig:
-    return ModelConfig(spherical=SphericalConfig(64, 1800, 2.0, 24.8))
 
 
 def desk_config() -> ModelConfig:

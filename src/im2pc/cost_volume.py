@@ -16,8 +16,7 @@ from .geometry import DEFAULT_Z_MIN, CameraIntrinsics, SphericalConfig
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import FeatureImage
-from .sampling import (GroupingSpec, PointCloud, _knn_select, brute_force_knn,
-                       projection_aware_knn)
+from .sampling import GroupingSpec, PointCloud, _knn_select, projection_aware_knn
 
 SIGMA_FLOOR = 1e-8
 MASK_NEG = -1e30
@@ -128,25 +127,21 @@ class CostVolumeModule(Module):
 
     # -- fixed searches -----------------------------------------------------
 
-    def neighbours(self, positions: np.ndarray, spherical: Optional[np.ndarray],
+    def neighbours(self, positions: np.ndarray, spherical: np.ndarray,
                    pixel_plane: np.ndarray, cfg: SphericalConfig,
                    z_min: float = DEFAULT_Z_MIN) -> StageNeighbours:
         """The searches of IC generation and LST embedding: the k nearest
         pixels of each point on the normalized plane ("knn" mode), and its
-        LST neighbours, projection-aware or, without spherical coordinates,
-        brute force."""
+        projection-aware LST neighbours."""
         pixels = None
         if self.spec.mode == "knn":
             pixels = knn_pixel_candidates(normalized_points(positions, z_min),
                                           pixel_plane, self.spec.k)
         N = positions.shape[0]
         k2 = min(self.spec.k2, N)
-        if spherical is None:
-            idx, mask = brute_force_knn(positions, positions, k2, self.spec.lst_dist)
-        else:
-            cloud = PointCloud(positions, np.zeros((N, 1)), spherical=spherical)
-            gspec = GroupingSpec(k2, self.spec.lst_kernel, self.spec.lst_dist)
-            idx, mask = projection_aware_knn(cloud, cloud, gspec, cfg)
+        cloud = PointCloud(positions, np.zeros((N, 1)), spherical=spherical)
+        gspec = GroupingSpec(k2, self.spec.lst_kernel, self.spec.lst_dist)
+        idx, mask = projection_aware_knn(cloud, cloud, gspec, cfg)
         return StageNeighbours(pixels, idx, mask)
 
     # -- IC generation ------------------------------------------------------
@@ -210,7 +205,7 @@ class CostVolumeModule(Module):
         w = logits.softmax(axis=1)
         return (ic_m * w).sum(axis=1)
 
-    def __call__(self, pos_t: Tensor, spherical: Optional[np.ndarray], f: Tensor,
+    def __call__(self, pos_t: Tensor, spherical: np.ndarray, f: Tensor,
                  img: FeatureImage, cfg: SphericalConfig, train: bool,
                  level: int, point_ref: PointCloud,
                  z_min: float = DEFAULT_Z_MIN,

@@ -38,10 +38,6 @@ class EmptyLevel(Im2pcError):
     pass
 
 
-class TooFewPoints(Im2pcError):
-    pass
-
-
 class NoCandidates(Im2pcError):
     pass
 

@@ -207,17 +207,12 @@ def matrix_to_pose(T: RigidTransform) -> PoseQT:
     return PoseQT(q, T.t)
 
 
-def spherical_project(p: np.ndarray, cfg: SphericalConfig) -> tuple[int, int]:
-    """Map a 3D point onto the integer spherical grid.
-
-    The floor is applied to the full scaled expression (see spherical_project_many
-    for the vectorized form). Azimuth wraps modulo W, elevation clamps.
-    """
-    u, v = spherical_project_many(np.asarray(p, dtype=np.float64)[None, :], cfg)[0]
-    return int(u), int(v)
-
-
 def spherical_project_many(points: np.ndarray, cfg: SphericalConfig) -> np.ndarray:
+    """Map (N, 3) points onto the integer spherical grid as (N, 2) (u, v).
+
+    The floor is applied to the full scaled expression. Azimuth wraps
+    modulo W, elevation clamps.
+    """
     points = np.asarray(points, dtype=np.float64)
     r = np.linalg.norm(points, axis=1)
     if np.any(r == 0.0):

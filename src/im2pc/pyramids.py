@@ -13,8 +13,7 @@ from .errors import EmptyLevel, IndexMismatch, ShapeMismatch
 from .geometry import CameraIntrinsics, SphericalConfig
 from .nn_blocks import ConvBlock, Linear, SharedMlp
 from .params import Module
-from .sampling import (GroupingSpec, PointCloud, brute_force_knn, cell_sample,
-                       farthest_point_sample, projection_aware_knn)
+from .sampling import GroupingSpec, PointCloud, cell_sample, projection_aware_knn
 
 
 @dataclass
@@ -97,16 +96,6 @@ def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
     return Tensor._make(out, (features,), backward)
 
 
-def knn_group(centers: PointCloud, candidates: PointCloud, spec: GroupingSpec,
-              cfg: SphericalConfig):
-    """Projection-aware KNN on the spherical grid, or brute-force KNN when
-    neither cloud carries spherical coordinates (the FPS strategy)."""
-    if centers.spherical is None and candidates.spherical is None:
-        return brute_force_knn(centers.positions, candidates.positions,
-                               spec.k, spec.max_dist)
-    return projection_aware_knn(centers, candidates, spec, cfg)
-
-
 @dataclass
 class LevelGeometry:
     """One point level's fixed sampling and grouping."""
@@ -122,24 +111,15 @@ class SetAbstraction(Module):
         self.spec = spec
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
-    def sample(self, cloud: PointCloud, cfg: SphericalConfig,
-               strides: tuple | None = None) -> LevelGeometry:
-        """Centers by cell_sample, or by FPS when the cloud has no spherical
-        coordinates, and their KNN groups in `cloud`."""
-        if cloud.spherical is None:
-            sh, sw = self.spec.strides   # per-level reduction ratio
-            m = max(1, cloud.count // (sh * sw))
-            # seeded by the level index, so each level starts elsewhere
-            centers_idx = farthest_point_sample(cloud, m, cloud.level)
-        else:
-            centers_idx = cell_sample(
-                cloud, self.spec.strides if strides is None else strides)
+    def sample(self, cloud: PointCloud, cfg: SphericalConfig, strides: tuple) -> LevelGeometry:
+        """Centers by cell_sample with the level-0 cell `strides`, and their
+        projection-aware KNN groups in `cloud`."""
+        centers_idx = cell_sample(cloud, strides)
         if centers_idx.size == 0:
             raise EmptyLevel(f"stride sampling left no points at level {cloud.level + 1}")
-        center_sph = None if cloud.spherical is None else cloud.spherical[centers_idx]
         centers = PointCloud(cloud.positions[centers_idx], np.zeros((centers_idx.size, 1)),
-                             spherical=center_sph, level=cloud.level + 1)
-        idx, _mask = knn_group(centers, cloud, self.spec, cfg)
+                             spherical=cloud.spherical[centers_idx], level=cloud.level + 1)
+        idx, _mask = projection_aware_knn(centers, cloud, self.spec, cfg)
         return LevelGeometry(centers, centers_idx, idx)
 
     def __call__(self, cloud: PointCloud, geo: LevelGeometry, train: bool) -> PointCloud:
@@ -188,7 +168,7 @@ class ContextGather(Module):
 
     def group(self, cloud: PointCloud, cfg: SphericalConfig) -> np.ndarray:
         """(N, k) neighbour rows of every point of `cloud` in itself."""
-        return knn_group(cloud, cloud, self.spec, cfg)[0]
+        return projection_aware_knn(cloud, cloud, self.spec, cfg)[0]
 
     def __call__(self, cv: Tensor, cloud: PointCloud, idx: np.ndarray, train: bool):
         if cv.shape[0] != cloud.count or idx.shape[0] != cloud.count:
@@ -211,7 +191,7 @@ class Upsample(Module):
     def group(self, fine_cloud: PointCloud, coarse_cloud: PointCloud,
               cfg: SphericalConfig) -> np.ndarray:
         """(N_fine, k) coarse neighbour rows of every fine point."""
-        return knn_group(fine_cloud, coarse_cloud, self.spec, cfg)[0]
+        return projection_aware_knn(fine_cloud, coarse_cloud, self.spec, cfg)[0]
 
     def __call__(self, coarse_vals: Tensor, coarse_cloud: PointCloud,
                  fine_cloud: PointCloud, fine_feats: Tensor, idx: np.ndarray,

@@ -134,15 +134,11 @@ class RegistrationNet(Module):
     # -- stages -------------------------------------------------------------
 
     def geometry(self, cloud: PointCloud, image, K: CameraIntrinsics) -> SceneGeometry:
-        """The scene's fixed sampling and searches. Without spherical
-        coordinates (the FPS strategy) every level samples by FPS and groups
-        by brute force."""
+        """The scene's fixed sampling and searches, on the spherical grid."""
         cfg = self.cfg
-        sph = None
-        if not cfg.use_fps:
-            sph = cloud.spherical
-            if sph is None:
-                sph = spherical_project_many(cloud.positions, cfg.spherical)
+        sph = cloud.spherical
+        if sph is None:
+            sph = spherical_project_many(cloud.positions, cfg.spherical)
         base = PointCloud(cloud.positions, cloud.features, spherical=sph, level=cloud.level)
         levels = self.point_pyramid.sample(base, cfg.spherical)
         cloud3, cloud4 = levels[2].centers, levels[3].centers
@@ -184,9 +180,7 @@ class RegistrationNet(Module):
         cloud4 = point_levels[4]
         warped = quat_rotate(coarse.q_t, Tensor(cloud3.positions)) + \
             coarse.t_t.reshape(1, 3)
-        sph_w = None
-        if cloud3.spherical is not None:
-            sph_w = spherical_project_many(warped.data, cfg.spherical)
+        sph_w = spherical_project_many(warped.data, cfg.spherical)
         cv3 = self.cv_fine(warped, sph_w, cloud3.features, img_levels[2],
                            cfg.spherical, train, level=3, point_ref=cloud3,
                            z_min=cfg.z_min)

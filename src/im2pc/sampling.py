@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import EmptyLevel, MissingSpherical, TooFewPoints
+from .errors import EmptyLevel, MissingSpherical
 from .geometry import SphericalConfig
 
 # center-candidate pairs in one row chunk of a KNN search, ~25 bytes each
@@ -162,7 +162,9 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
     the center's and its column within kw // 2, azimuth wrapping modulo W.
     Candidates are sorted once by cell key v * W + u; each window row is
     then at most two non-empty key ranges, found by binary search, so the
-    cost grows with the window population, not with M * N. Spherical
+    cost grows with the window population, not with M * N. Centers go in
+    _row_chunks slices, first of their window bounds, then of their padded
+    windows, so memory stays bounded however large the windows. Spherical
     coordinates must lie on the grid (0 <= u < W), as
     spherical_project_many makes them.
     """
@@ -172,52 +174,58 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
     if n == 0:
         raise EmptyLevel("no candidate points")
     W = cfg.W
-    kh, kw = spec.kernel
-    hh, hw = kh // 2, kw // 2
     key = candidates.spherical[:, 1] * W + candidates.spherical[:, 0]
     order = np.argsort(key)  # order within a cell is free: ties sort by index later
     key = key[order]
     vlo, vhi = key[0] // W, key[-1] // W
-    cu, cv = centers.spherical[:, :1], centers.spherical[:, 1:]
-    # window rows, clipped to the candidates' rows: (M, R)
-    rows = np.maximum(cv - hh, vlo) + np.arange(min(kh, vhi - vlo + 1))
+    R = min(spec.kernel[0], vhi - vlo + 1)  # window rows inside the candidates' rows
+    max_sq = spec.max_dist * spec.max_dist
+    parts = []
+    for r in _row_chunks(max(centers.count, 1), 3 * R):  # one empty slice for no centers
+        pos = centers.positions[r]
+        start, count = _window_ranges(key, centers.spherical[r], spec.kernel, W, vlo, R)
+        total = count.sum(axis=1)
+        if total.min(initial=n) == n:  # every window holds every candidate
+            parts.append(_knn_select(pos, candidates.positions, np.arange(n)[None],
+                                     spec.k, max_sq))
+            continue
+        for s in _row_chunks(len(total), total.max()):
+            block = _window_block(order, start[s], count[s], total[s])
+            parts.append(_knn_select(pos[s], candidates.positions, block, spec.k, max_sq))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _window_ranges(key, sph, kernel, W, vlo, R):
+    """(m, 3R) start and length, in the sorted `key`, of the ranges that make
+    up each center's window: R window rows, clipped to the candidates' rows
+    from vlo on, of up to three column ranges each."""
+    kh, kw = kernel
+    hh, hw = kh // 2, kw // 2
+    cu, cv = sph[:, :1], sph[:, 1:]
+    rows = np.maximum(cv - hh, vlo) + np.arange(R)  # (m, R)
     if kw < W:
         ulo, uhi = cu - hw, cu + hw + 1
     else:  # the window spans the whole ring
         ulo, uhi = np.zeros_like(cu), np.full_like(cu, W)
     # columns [ulo, uhi) as up to three ranges inside [0, W): the unwrapped
-    # part and the parts that wrap past either end; (M, R, 3) key bounds
+    # part and the parts that wrap past either end; (m, R, 3) key bounds
     shift = np.array([-W, 0, W])
     base = rows[:, :, None] * W
     lo = base + np.minimum(np.maximum(ulo[:, :, None] + shift, 0), W)
     hi = base + np.minimum(np.maximum(uhi[:, :, None] + shift, 0), W)
     hi = np.where(rows[:, :, None] <= cv[:, :, None] + hh, hi, lo)
     start = np.searchsorted(key, lo.reshape(len(lo), -1))
-    count = np.searchsorted(key, hi.reshape(len(hi), -1)) - start
-    total = count.sum(axis=1)
-    max_sq = spec.max_dist * spec.max_dist
-    if total.min(initial=n) == n:  # every window holds every candidate
-        return _knn_select(centers.positions, candidates.positions,
-                           np.arange(n)[None], spec.k, max_sq)
-    # gather each center's ranges into a padded (M, max population) block
+    return start, np.searchsorted(key, hi.reshape(len(hi), -1)) - start
+
+
+def _window_block(order, start, count, total):
+    """Each center's window candidates gathered into a padded (m, max total)
+    block of candidate rows, -1 in the empty slots."""
     count = count.ravel()
     skip = start.ravel() - (np.cumsum(count) - count)  # range start minus its output offset
     src = np.arange(total.sum()) + np.repeat(skip, count)
     block = np.full((len(total), total.max()), -1)
     block[np.arange(block.shape[1]) < total[:, None]] = order[src]
-    return _knn_select(centers.positions, candidates.positions, block, spec.k, max_sq)
-
-
-def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
-    """Deterministic FPS; the first pick is a seeded random index."""
-    n = cloud.count
-    if m > n:
-        raise TooFewPoints(f"asked for {m} of {n} points")
-    chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = np.random.default_rng(seed).integers(n)
-    min_d = np.full(n, np.inf)
-    pts = cloud.positions.T
-    for step in range(1, m):
-        min_d = np.minimum(min_d, _sq_dist(pts, pts[:, chosen[step - 1]]))
-        chosen[step] = int(np.argmax(min_d))  # argmax ties to the lowest index
-    return chosen
+    return block

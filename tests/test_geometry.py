@@ -115,19 +115,23 @@ class TestMatrixConversion:
 class TestSpherical:
     CFG = G.SphericalConfig(64, 1800, 2.0, 24.8)
 
+    def project(self, p):
+        """(u, v) of one point."""
+        return tuple(G.spherical_project_many(np.array([p], dtype=np.float64), self.CFG)[0])
+
     def test_forward_axis(self):
-        u, v = G.spherical_project([1, 0, 0], self.CFG)
+        u, v = self.project([1, 0, 0])
         assert u == 900
 
     def test_backward_axis_wraps_to_zero(self):
-        u, _ = G.spherical_project([-1.0, 1e-12, 0.0], self.CFG)
+        u, _ = self.project([-1.0, 1e-12, 0.0])
         assert u == 0
 
     def test_top_of_fov_is_row_zero(self):
         # elevation exactly f_up
         z = math.sin(math.radians(2.0))
         x = math.cos(math.radians(2.0))
-        _, v = G.spherical_project([x, 0, z], self.CFG)
+        _, v = self.project([x, 0, z])
         assert v == 0
 
     def test_bounds(self):
@@ -139,7 +143,7 @@ class TestSpherical:
 
     def test_zero_range(self):
         with pytest.raises(ZeroRange):
-            G.spherical_project([0, 0, 0], self.CFG)
+            self.project([0, 0, 0])
 
 
 class TestPlaneProjections:

@@ -8,7 +8,7 @@ from im2pc import autodiff as ad
 from im2pc.autodiff import Tensor
 from im2pc.errors import IndexMismatch
 from im2pc.geometry import CameraIntrinsics, SphericalConfig, spherical_project_many
-from im2pc.sampling import GroupingSpec, PointCloud, brute_force_knn, farthest_point_sample
+from im2pc.sampling import GroupingSpec, PointCloud
 from util import finite_diff, rel_err
 
 
@@ -66,7 +66,7 @@ class TestSetAbstraction:
         rng = np.random.default_rng(2)
         cloud = make_cloud(rng, 200)
         sa = P.SetAbstraction("sa", 4, (8, 8), GroupingSpec(4, (3, 5), 5.0, (2, 2)), rng)
-        geo = sa.sample(cloud, CFG)
+        geo = sa.sample(cloud, CFG, strides=(2, 2))
         centers_idx, idx = geo.centers_idx, geo.idx
         out = sa(cloud, geo, train=False)
         assert out.level == 1
@@ -80,27 +80,11 @@ class TestSetAbstraction:
         assert sorted(centers_idx) == sorted(cells.values())
         assert idx.shape == (out.count, 4)
 
-    def test_fps_path_count(self):
-        rng = np.random.default_rng(3)
-        # a cloud without spherical coordinates takes FPS + brute-force KNN
-        full = make_cloud(rng, 64)
-        cloud = PointCloud(full.positions, full.features, level=1)
-        sa = P.SetAbstraction("sa", 4, (8,), GroupingSpec(4, (3, 5), 50.0, (2, 2)), rng)
-        geo = sa.sample(cloud, CFG)
-        centers_idx, idx = geo.centers_idx, geo.idx
-        out = sa(cloud, geo, train=False)
-        assert out.count == 16  # 64 // (2 * 2)
-        assert out.spherical is None and out.level == 2
-        # FPS is seeded by the level index
-        np.testing.assert_array_equal(centers_idx, farthest_point_sample(cloud, 16, seed=1))
-        bidx, _ = brute_force_knn(cloud.positions[centers_idx], cloud.positions, 4, 50.0)
-        np.testing.assert_array_equal(idx, bidx)
-
     def test_pooled_feature_is_group_max(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, 30)
         sa = P.SetAbstraction("sa", 4, (6,), GroupingSpec(5, (33, 129), 1e6, (1, 1)), rng)
-        geo = sa.sample(cloud, CFG)
+        geo = sa.sample(cloud, CFG, strides=(1, 1))
         centers_idx, idx = geo.centers_idx, geo.idx
         out = sa(cloud, geo, train=False)
         grouped = P.gather_group(cloud.features, cloud.positions, idx,

@@ -1,8 +1,6 @@
 """Differentiable pose algebra against the matrix oracle, mask-weighting
 invariances, and end-to-end determinism of the two-stage network."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -184,46 +182,6 @@ class TestNetwork:
                                    atol=1e-9)
 
 
-def forbid(monkeypatch, *names):
-    """Make the named grouping functions raise wherever a layer looks them up."""
-    def boom(*args, **kwargs):
-        raise AssertionError("this grouping strategy must not run here")
-
-    for module in (P, CV):
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, boom)
-
-
-def check_stage_poses(coarse, fine):
-    for stage in (coarse, fine):
-        assert np.all(np.isfinite(stage.q_t.data))
-        assert np.all(np.isfinite(stage.t_t.data))
-        assert abs(np.linalg.norm(stage.q_t.data) - 1.0) < 1e-12
-
-
-class TestGroupingStrategy:
-    def test_fps_net_forward_and_backward(self, monkeypatch):
-        forbid(monkeypatch, "projection_aware_knn", "cell_sample")
-        net = R.RegistrationNet(dataclasses.replace(desk_config(), use_fps=True), seed=0)
-        scene = synth_scene(4, SceneConfig(n_points=128))
-        check_stage_poses(*net(scene.cloud, scene.image, scene.K, train=False))
-        coarse, fine = net(scene.cloud, scene.image, scene.K, train=True,
-                           rng=np.random.default_rng(0))
-        check_stage_poses(coarse, fine)
-        loss = (fine.q_t * fine.q_t).sum() + fine.t_t.norm_l1() + \
-            (coarse.q_t * coarse.q_t).sum() + coarse.t_t.norm_l1()
-        loss.backward()
-        grads = [p.tensor.grad for p in net.named_parameters()]
-        assert all(g is not None and np.all(np.isfinite(g)) for g in grads)
-
-    def test_default_net_stays_on_the_spherical_grid(self, monkeypatch):
-        forbid(monkeypatch, "brute_force_knn", "farthest_point_sample")
-        net = R.RegistrationNet(desk_config(), seed=0)
-        scene = synth_scene(4, SceneConfig(n_points=128))
-        check_stage_poses(*net(scene.cloud, scene.image, scene.K, train=False))
-
-
 def stage_arrays(coarse, fine):
     return [a.data for st in (coarse, fine)
             for a in (st.q_t, st.t_t, st.cost_volume, st.mask_logits)] + \
@@ -264,10 +222,9 @@ SEARCHES = [(P, "cell_sample"), (P, "projection_aware_knn"),
 
 
 class TestSceneGeometry:
-    @pytest.mark.parametrize("use_fps", [False, True])
     @pytest.mark.parametrize("train", [False, True])
-    def test_reused_geometry_is_bitwise_a_fresh_forward(self, use_fps, train):
-        cfg = dataclasses.replace(desk_config(), use_fps=use_fps)
+    def test_reused_geometry_is_bitwise_a_fresh_forward(self, train):
+        cfg = desk_config()
         fresh_net, reuse_net = R.RegistrationNet(cfg, seed=5), R.RegistrationNet(cfg, seed=5)
         scene = synth_scene(7, SceneConfig(n_points=256, mode="large"))
         geo = reuse_net.geometry(scene.cloud, scene.image, scene.K)

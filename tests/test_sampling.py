@@ -1,12 +1,13 @@
 """Grouping and downsampling against slow reference implementations."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import im2pc.sampling as S
-from im2pc.errors import MissingSpherical, TooFewPoints
+from im2pc.errors import MissingSpherical
 from im2pc.geometry import SphericalConfig, spherical_project_many
 
 
@@ -66,23 +67,6 @@ def reference_knn(centers, candidates, window_ok, k, max_sq):
     return idx, mask
 
 
-def reference_fps(positions, m, start):
-    """Slow python oracle: from `start`, repeatedly take the point farthest
-    from those chosen; ties go to the lower index."""
-    chosen = [start]
-    min_d = np.full(positions.shape[0], np.inf)
-    for _ in range(1, m):
-        last = positions[chosen[-1]]
-        best, best_d = -1, -1.0
-        for j in range(positions.shape[0]):
-            d = float(((positions[j] - last) ** 2).sum())
-            min_d[j] = min(min_d[j], d)
-            if min_d[j] > best_d:
-                best, best_d = j, min_d[j]
-        chosen.append(best)
-    return np.asarray(chosen, dtype=np.int64)
-
-
 def argsort_knn(centers, candidates, window_ok, k, max_sq):
     """Vectorized oracle: distances as ((c - x) ** 2).sum(axis=-1), then a
     stable argsort, window and radius gated, padded like reference_knn."""
@@ -93,6 +77,32 @@ def argsort_knn(centers, candidates, window_ok, k, max_sq):
     mask = np.arange(k) < ok.sum(axis=1, keepdims=True)
     pad = np.where(mask[:, 0], order[:, 0], np.argmin(d, axis=1))
     return np.where(mask, order, pad[:, None]), mask
+
+
+KERNELS = {"full": lambda cfg: (2 * cfg.H + 1, 2 * cfg.W + 1),
+           "half": lambda cfg: (cfg.H | 1, (cfg.W // 2) | 1)}
+
+
+def bench_knn_cloud():
+    """bench-knn's n = 8000 cloud (seed 0): uniform on the front half of
+    its 64 x 256 grid."""
+    rng = np.random.default_rng(0)
+    n, cfg = 8000, SphericalConfig(64, 256, 30.0, 30.0)
+    az = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n)
+    el = np.radians(rng.uniform(-29.0, 29.0, n))
+    pos = rng.uniform(5.0, 15.0, n)[:, None] * np.stack(
+        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+    return S.PointCloud(pos, np.zeros((n, 1)), spherical=spherical_project_many(pos, cfg)), cfg
+
+
+def traced_self_search(cloud, cfg, kernel, k=16):
+    """The cloud's projection-aware KNN in itself, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        out = S.projection_aware_knn(cloud, cloud, S.GroupingSpec(k, kernel), cfg)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSquaredDistance:
@@ -299,6 +309,22 @@ class TestProjectionAwareKnn:
         # in one piece the search would take ~25 bytes a pair, 420 MB here
         assert peak < 40 * S._CHUNK_PAIRS  # 42 MB
 
+    @pytest.mark.parametrize("kernel", ["full", "half"])
+    def test_windowed_peak_memory_is_bounded_by_the_chunk(self, kernel):
+        cloud, cfg = bench_knn_cloud()
+        _, peak = traced_self_search(cloud, cfg, KERNELS[kernel](cfg))
+        # with every center's window bounds and padded window built at once,
+        # the search peaks at 83 MB (full) and 1,243 MB (half)
+        assert peak < 64 * S._CHUNK_PAIRS  # 67 MB
+
+    def test_window_bounds_are_built_per_chunk(self, monkeypatch):
+        # at a small chunk the (M, 3 * kh) window bounds of all 8000 centers
+        # (~56 MB) would dominate; only the output still grows with M
+        monkeypatch.setattr(S, "_CHUNK_PAIRS", 1 << 16)
+        cloud, cfg = bench_knn_cloud()
+        (idx, mask), peak = traced_self_search(cloud, cfg, KERNELS["half"](cfg))
+        assert peak < 64 * S._CHUNK_PAIRS + 2 * (idx.nbytes + mask.nbytes)  # 6.5 MB
+
     def test_many_chunks_match_reference(self, monkeypatch):
         # chunks of one to a few rows; windows of one row wider than a chunk,
         # rows with nothing in radius, and k above the candidate count
@@ -361,38 +387,3 @@ class TestProjectionAwareKnn:
         idx, mask = S.brute_force_knn(centers, cands, 4, max_dist=1.0)
         assert idx[0].tolist() == [0, 0, 0, 0]
         assert mask[0].tolist() == [True, False, False, False]
-
-
-class TestFarthestPointSample:
-    def test_matches_reference(self):
-        rng = np.random.default_rng(11)
-        for trial in range(20):
-            cands = make_cloud(rng, 60 if trial % 2 else int(rng.integers(1, 12)))
-            m = min(10, cands.count)
-            start = int(np.random.default_rng(trial).integers(cands.count))
-            np.testing.assert_array_equal(S.farthest_point_sample(cands, m, seed=trial),
-                                          reference_fps(cands.positions, m, start),
-                                          err_msg=f"trial {trial}")
-
-    def test_hand_case_line(self):
-        # points on a line; after a seeded start the farthest-first order
-        # must alternate between the extremes and then bisect
-        pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [10.0, 0, 0]])
-        cloud = S.PointCloud(pos, np.zeros((4, 1)))
-        idx = S.farthest_point_sample(cloud, 4, seed=3)
-        assert sorted(idx.tolist()) == [0, 1, 2, 3]
-        start = idx[0]
-        d0 = np.abs(pos[:, 0] - pos[start, 0])
-        assert idx[1] == int(np.argmax(d0))
-
-    def test_request_too_many(self):
-        cloud = S.PointCloud(np.zeros((3, 3)), np.zeros((3, 1)))
-        with pytest.raises(TooFewPoints):
-            S.farthest_point_sample(cloud, 4, seed=0)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        cloud = make_cloud(rng, 40)
-        a = S.farthest_point_sample(cloud, 12, seed=5)
-        b = S.farthest_point_sample(cloud, 12, seed=5)
-        assert np.array_equal(a, b)
