@@ -134,12 +134,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def log(self):
-        def backward(g):
-            self._accum(g / self.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
-
     def sqrt(self):
         out_data = np.sqrt(self.data)
 

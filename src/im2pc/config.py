@@ -1,5 +1,5 @@
-"""Model and training configuration with the published defaults and a small
-desk-scale preset used by the tests and the synthetic experiments."""
+"""The configuration of the registration network the program runs, sized for
+synthetic desk-scale scenes (32x64 images, ~512 points), and of training."""
 
 from __future__ import annotations
 
@@ -12,69 +12,43 @@ from .sampling import GroupingSpec
 
 @dataclass
 class ModelConfig:
-    spherical: SphericalConfig
-    image_in_ch: int = 3
-    image_channels: tuple = ((16, 16, 16, 16, 32), (32, 32, 32, 32, 64),
-                             (64, 64, 64, 64, 128))
-    image_strides: tuple = ((4, 4), (4, 4), (2, 2))
-    init_feat_dim: int = 4
-    point_dims: tuple = ((16, 16, 32), (32, 32, 64), (64, 64, 128), (128, 128, 256))
-    point_groupings: tuple = (
-        GroupingSpec(32, (9, 15), 0.75, (4, 8)),
-        GroupingSpec(16, (9, 15), 3.00, (2, 2)),
-        GroupingSpec(16, (5, 9), 6.00, (2, 2)),
-        GroupingSpec(16, (5, 9), 12.0, (1, 2)),
-    )
-    coarse_mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec("all"))
-    fine_mixture: MixtureSpec = field(default_factory=lambda: MixtureSpec("knn", k=32))
-    ic_dims: tuple = (128, 64, 64)
-    sal_dims: tuple = (128, 64)
-    pos_dim: int = 64
-    lst_dims: tuple = (128, 64)
-    context_dims: tuple = (128, 64, 64)
+    spherical: SphericalConfig = field(
+        default_factory=lambda: SphericalConfig(16, 256, 22.0, 22.0, frame="camera"))
+    image_channels: tuple = ((8, 16), (16, 32), (32, 32))
+    image_strides: tuple = ((2, 2), (2, 2), (2, 2))
+    point_dims: tuple = ((16, 16), (16, 32), (32, 32), (32, 64))
+    # kernels widen with the cumulative stride lattice so each level
+    # still sees a 3x5 window of surviving candidates
+    point_groupings: tuple = field(default_factory=lambda: (
+        GroupingSpec(8, (3, 5), 1.0, (2, 2)),
+        GroupingSpec(8, (5, 9), 2.0, (2, 1)),
+        GroupingSpec(8, (9, 9), 4.0, (1, 2)),
+        GroupingSpec(8, (9, 17), 8.0, (2, 1)),
+    ))
+    coarse_mixture: MixtureSpec = field(
+        default_factory=lambda: MixtureSpec("knn", k=16, k2=4, lst_dist=2.0))
+    fine_mixture: MixtureSpec = field(
+        default_factory=lambda: MixtureSpec("knn", k=16, k2=4, lst_dist=2.0))
+    ic_dims: tuple = (32, 32)
+    sal_dims: tuple = (32, 32)
+    pos_dim: int = 16
+    lst_dims: tuple = (32, 32)
+    context_dims: tuple = (32, 32)
     context_grouping: GroupingSpec = field(
-        default_factory=lambda: GroupingSpec(16, (5, 9), 12.0))
+        default_factory=lambda: GroupingSpec(8, (17, 17), 8.0))
     upsample_grouping: GroupingSpec = field(
-        default_factory=lambda: GroupingSpec(8, (5, 9), 9.00))
-    upsample_mlp_dims: tuple = (128, 64)
-    upsample_out: int = 64
-    oe_dims: tuple = (128, 64)
-    mask_dims: tuple = (128, 64)
-    middle_dim: int = 256
+        default_factory=lambda: GroupingSpec(8, (17, 17), 8.0))
+    upsample_mlp_dims: tuple = (32, 32)
+    upsample_out: int = 32
+    oe_dims: tuple = (32, 32)
+    mask_dims: tuple = (32, 32)
+    middle_dim: int = 64
     dropout: float = 0.5
-    z_min: float = 1e-3
 
 
 def desk_config() -> ModelConfig:
-    """Shrunk network for synthetic desk-scale scenes (32x64 images, ~512 pts)."""
-    return ModelConfig(
-        spherical=SphericalConfig(16, 256, 22.0, 22.0, frame="camera"),
-        image_channels=((8, 16), (16, 32), (32, 32)),
-        image_strides=((2, 2), (2, 2), (2, 2)),
-        point_dims=((16, 16), (16, 32), (32, 32), (32, 64)),
-        # kernels widen with the cumulative stride lattice so each level
-        # still sees a 3x5 window of surviving candidates
-        point_groupings=(
-            GroupingSpec(8, (3, 5), 1.0, (2, 2)),
-            GroupingSpec(8, (5, 9), 2.0, (2, 1)),
-            GroupingSpec(8, (9, 9), 4.0, (1, 2)),
-            GroupingSpec(8, (9, 17), 8.0, (2, 1)),
-        ),
-        coarse_mixture=MixtureSpec("knn", k=16, k2=4, lst_dist=2.0),
-        fine_mixture=MixtureSpec("knn", k=16, k2=4, lst_dist=2.0),
-        ic_dims=(32, 32),
-        sal_dims=(32, 32),
-        pos_dim=16,
-        lst_dims=(32, 32),
-        context_dims=(32, 32),
-        context_grouping=GroupingSpec(8, (17, 17), 8.0),
-        upsample_grouping=GroupingSpec(8, (17, 17), 8.0),
-        upsample_mlp_dims=(32, 32),
-        upsample_out=32,
-        oe_dims=(32, 32),
-        mask_dims=(32, 32),
-        middle_dim=64,
-    )
+    """The network's configuration; a caller may change fields on the instance."""
+    return ModelConfig()
 
 
 @dataclass
@@ -129,14 +103,10 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
         if key not in fields:
             raise KeyError(f"unknown TrainConfig field {key!r}")
         cur = fields[key]
-        if isinstance(cur, bool):
-            fields[key] = val.lower() in ("1", "true", "yes")
-        elif isinstance(cur, int):
+        if isinstance(cur, int):
             fields[key] = int(val)
         elif isinstance(cur, float):
             fields[key] = float(val)
-        elif isinstance(cur, tuple):
-            fields[key] = tuple(float(x) for x in val.split(","))
         else:
-            fields[key] = val
+            fields[key] = tuple(float(x) for x in val.split(","))
     return TrainConfig(**fields)

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import IndexMismatch, NoCandidates
-from .geometry import DEFAULT_Z_MIN, CameraIntrinsics, SphericalConfig
+from .geometry import CameraIntrinsics, SphericalConfig
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import FeatureImage
@@ -20,6 +20,7 @@ from .sampling import GroupingSpec, PointCloud, _knn_select, projection_aware_kn
 
 SIGMA_FLOOR = 1e-8
 MASK_NEG = -1e30
+Z_MIN = 1e-3              # depth clamp of normalized_points
 
 
 @dataclass
@@ -83,13 +84,13 @@ def normalized_pixels(pixel_coords: np.ndarray, K: CameraIntrinsics) -> np.ndarr
     return np.stack([(coords[:, 0] - K.cx) / K.fx, (coords[:, 1] - K.cy) / K.fy], axis=1)
 
 
-def normalized_points(positions: np.ndarray, z_min: float = DEFAULT_Z_MIN) -> np.ndarray:
-    """Project points to the normalized plane, clamping z at z_min.
+def normalized_points(positions: np.ndarray) -> np.ndarray:
+    """Project points to the normalized plane, clamping z at Z_MIN.
 
     The clamp keeps behind-camera points queryable for candidate search;
     the outlier mask is expected to down-weight them.
     """
-    z = np.maximum(positions[:, 2], z_min)
+    z = np.maximum(positions[:, 2], Z_MIN)
     return positions[:, :2] / z[:, None]
 
 
@@ -128,14 +129,13 @@ class CostVolumeModule(Module):
     # -- fixed searches -----------------------------------------------------
 
     def neighbours(self, positions: np.ndarray, spherical: np.ndarray,
-                   pixel_plane: np.ndarray, cfg: SphericalConfig,
-                   z_min: float = DEFAULT_Z_MIN) -> StageNeighbours:
+                   pixel_plane: np.ndarray, cfg: SphericalConfig) -> StageNeighbours:
         """The searches of IC generation and LST embedding: the k nearest
         pixels of each point on the normalized plane ("knn" mode), and its
         projection-aware LST neighbours."""
         pixels = None
         if self.spec.mode == "knn":
-            pixels = knn_pixel_candidates(normalized_points(positions, z_min),
+            pixels = knn_pixel_candidates(normalized_points(positions),
                                           pixel_plane, self.spec.k)
         N = positions.shape[0]
         k2 = min(self.spec.k2, N)
@@ -208,14 +208,13 @@ class CostVolumeModule(Module):
     def __call__(self, pos_t: Tensor, spherical: np.ndarray, f: Tensor,
                  img: FeatureImage, cfg: SphericalConfig, train: bool,
                  level: int, point_ref: PointCloud,
-                 z_min: float = DEFAULT_Z_MIN,
                  neighbours: Optional[StageNeighbours] = None) -> CostVolume:
         """IC generation then LST embedding. Without `neighbours` (a scene
         geometry's, for the coarse stage) the searches run on `pos_t` now,
         as the fine stage's must: its points move with the coarse pose."""
         if neighbours is None:
             neighbours = self.neighbours(pos_t.data, spherical, normalized_pixel_grid(img),
-                                         cfg, z_min)
+                                         cfg)
         ic = self.ic_generate(pos_t, f, img, train, pixels=neighbours.pixels)
         e = self.lst_embed(pos_t, f, ic, neighbours.lst_idx, neighbours.lst_mask, train)
         return CostVolume(e, level, point_ref)

@@ -8,14 +8,12 @@ equal rotations compare equal numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import NotARotation, ZeroNoise, ZeroRange
-
-DEFAULT_Z_MIN = 1e-3
 
 
 def canonical_sign(q: np.ndarray) -> float:
@@ -81,9 +79,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.R.T, -self.R.T @ self.t)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.R.T + self.t
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -97,9 +92,6 @@ class CameraIntrinsics:
             raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class Module:
             seen.add(p.name)
         return out
 
-    def zero_grad(self):
-        for p in self.named_parameters():
-            p.zero_grad()
-
     def named_buffers(self):
         """(name, owner, attr) triples for non-trainable state arrays."""
         out = []

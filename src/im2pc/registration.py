@@ -20,6 +20,9 @@ from .params import Module
 from .pyramids import ContextGather, ImagePyramid, PointPyramid, Upsample
 from .sampling import PointCloud
 
+IMAGE_CHANNELS = 3      # RGB, as read_ppm and synth_scene give it
+POINT_FEATURES = 4      # per-point input width of load_kitti_bin and synth_scene
+
 
 def quat_normalize_t(q: Tensor) -> Tensor:
     n = (q * q).sum().sqrt()
@@ -97,9 +100,9 @@ class RegistrationNet(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        self.image_pyramid = ImagePyramid("img", cfg.image_in_ch, cfg.image_channels,
+        self.image_pyramid = ImagePyramid("img", IMAGE_CHANNELS, cfg.image_channels,
                                           cfg.image_strides, rng)
-        self.point_pyramid = PointPyramid("pts", cfg.init_feat_dim, cfg.point_dims,
+        self.point_pyramid = PointPyramid("pts", POINT_FEATURES, cfg.point_dims,
                                           cfg.point_groupings, rng)
         img_dim = cfg.image_channels[2][-1]
         f4_dim = cfg.point_dims[3][-1]
@@ -134,18 +137,16 @@ class RegistrationNet(Module):
     # -- stages -------------------------------------------------------------
 
     def geometry(self, cloud: PointCloud, image, K: CameraIntrinsics) -> SceneGeometry:
-        """The scene's fixed sampling and searches, on the spherical grid."""
+        """The scene's fixed sampling and searches, on the grid of
+        cfg.spherical; spherical coordinates the cloud carries are ignored."""
         cfg = self.cfg
-        sph = cloud.spherical
-        if sph is None:
-            sph = spherical_project_many(cloud.positions, cfg.spherical)
+        sph = spherical_project_many(cloud.positions, cfg.spherical)
         base = PointCloud(cloud.positions, cloud.features, spherical=sph, level=cloud.level)
         levels = self.point_pyramid.sample(base, cfg.spherical)
         cloud3, cloud4 = levels[2].centers, levels[3].centers
         grid = self.image_pyramid.level_grids(image.shape[0], image.shape[1])[2]
         coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical,
-                                           normalized_pixels(grid, K), cfg.spherical,
-                                           cfg.z_min)
+                                           normalized_pixels(grid, K), cfg.spherical)
         # up_e and up_m are built from one spec, so they share one search
         return SceneGeometry(cloud.positions, tuple(image.shape[:2]), K, levels,
                              self.context.group(cloud4, cfg.spherical),
@@ -166,7 +167,7 @@ class RegistrationNet(Module):
         pos4 = Tensor(cloud4.positions)
         cv4 = self.cv_coarse(pos4, cloud4.spherical, cloud4.features, img_levels[2],
                              cfg.spherical, train, level=4, point_ref=cloud4,
-                             z_min=cfg.z_min, neighbours=geometry.coarse)
+                             neighbours=geometry.coarse)
         e4new = self.context(cv4.entries, cloud4, geometry.context, train)
         m4 = self.mask_coarse(ad.concat([e4new, cloud4.features], axis=1), train)
         q4, t4 = self.regress_coarse(e4new, m4, cfg.dropout, train, rng)
@@ -182,8 +183,7 @@ class RegistrationNet(Module):
             coarse.t_t.reshape(1, 3)
         sph_w = spherical_project_many(warped.data, cfg.spherical)
         cv3 = self.cv_fine(warped, sph_w, cloud3.features, img_levels[2],
-                           cfg.spherical, train, level=3, point_ref=cloud3,
-                           z_min=cfg.z_min)
+                           cfg.spherical, train, level=3, point_ref=cloud3)
         ue3 = self.up_e(coarse.cost_volume, cloud4, cloud3, cloud3.features,
                         geometry.upsample, train)
         um3 = self.up_m(coarse.mask_logits, cloud4, cloud3, cloud3.features,

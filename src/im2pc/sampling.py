@@ -185,10 +185,6 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
         pos = centers.positions[r]
         start, count = _window_ranges(key, centers.spherical[r], spec.kernel, W, vlo, R)
         total = count.sum(axis=1)
-        if total.min(initial=n) == n:  # every window holds every candidate
-            parts.append(_knn_select(pos, candidates.positions, np.arange(n)[None],
-                                     spec.k, max_sq))
-            continue
         for s in _row_chunks(len(total), total.max()):
             block = _window_block(order, start[s], count[s], total[s])
             parts.append(_knn_select(pos[s], candidates.positions, block, spec.k, max_sq))

@@ -83,7 +83,7 @@ class TestGradChecks:
     def test_elementwise_chain(self):
         rng = np.random.default_rng(3)
         x = np.abs(rng.normal(size=(3, 4))) + 0.5
-        check_grad(lambda t: (t.log() + t.exp() * t.sqrt()).sum(), [x])
+        check_grad(lambda t: (t.exp() * t.sqrt()).sum(), [x])
 
     def test_matmul_concat_slice(self):
         rng = np.random.default_rng(4)

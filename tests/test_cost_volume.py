@@ -124,7 +124,7 @@ class TestCandidates:
 
     def test_behind_camera_clamp(self):
         p = np.array([[1.0, 2.0, -5.0]])
-        out = CV.normalized_points(p, z_min=1e-3)
+        out = CV.normalized_points(p)
         np.testing.assert_allclose(out, [[1000.0, 2000.0]])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from im2pc import geometry as G
 from im2pc.autodiff import Tensor
-from im2pc.cost_volume import normalized_pixel_grid, normalized_points
+from im2pc.cost_volume import Z_MIN, normalized_pixel_grid, normalized_points
 from im2pc.errors import NotARotation, ZeroNoise, ZeroRange
 from im2pc.pyramids import FeatureImage
 
@@ -159,11 +159,11 @@ class TestPlaneProjections:
                                       [[1.0, -0.5]])
 
     def test_behind_camera(self):
-        # z at or below z_min is clamped to z_min, so the point stays queryable
-        p = np.array([[1.0, -2.0, G.DEFAULT_Z_MIN], [1.0, -2.0, -3.0], [1.0, -2.0, 0.5]])
+        # z at or below Z_MIN is clamped to Z_MIN, so the point stays queryable
+        p = np.array([[1.0, -2.0, Z_MIN], [1.0, -2.0, -3.0], [1.0, -2.0, 0.5]])
         out = normalized_points(p)
         np.testing.assert_array_equal(out[0], out[1])
-        np.testing.assert_allclose(out[0], [1.0 / G.DEFAULT_Z_MIN, -2.0 / G.DEFAULT_Z_MIN])
+        np.testing.assert_allclose(out[0], [1.0 / Z_MIN, -2.0 / Z_MIN])
         np.testing.assert_array_equal(out[2], [2.0, -4.0])
 
     def test_scale_invariance(self):

@@ -285,6 +285,18 @@ class TestSceneGeometry:
         for w, f in zip(weights, fresh_weights):
             np.testing.assert_array_equal(w, f)
 
+    def test_spherical_coordinates_of_the_cloud_are_ignored(self):
+        # the net groups on its own grid, whatever grid a cloud was projected on
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(4, SceneConfig(n_points=128))
+        other = G.spherical_project_many(scene.cloud.positions,
+                                         G.SphericalConfig(8, 64, 30.0, 30.0))
+        carried = PointCloud(scene.cloud.positions, scene.cloud.features, spherical=other)
+        want = net(scene.cloud, scene.image, scene.K, train=False)
+        got = net(carried, scene.image, scene.K, train=False)
+        for g, w in zip(stage_arrays(*got), stage_arrays(*want)):
+            np.testing.assert_array_equal(g, w)
+
     def test_geometry_of_another_cloud_is_refused(self):
         net = R.RegistrationNet(desk_config(), seed=0)
         a = synth_scene(1, SceneConfig(n_points=128))

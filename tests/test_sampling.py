@@ -348,7 +348,12 @@ class TestProjectionAwareKnn:
                 short_rows += int((~ref[1].all(axis=1)).sum())
         assert empty_rows > 0 and short_rows > 0
 
-    def test_full_window_equals_brute_force(self):
+    def test_full_window_equals_brute_force(self, monkeypatch):
+        # windows that hold every candidate are still gathered window by
+        # window, so this comparison checks the windowed search
+        blocks = []
+        window_block = S._window_block
+        monkeypatch.setattr(S, "_window_block", lambda *a: blocks.append(1) or window_block(*a))
         rng = np.random.default_rng(8)
         centers = make_cloud(rng, 12)
         cands = make_cloud(rng, 30)
@@ -358,6 +363,7 @@ class TestProjectionAwareKnn:
         bidx, bmask = S.brute_force_knn(centers.positions, cands.positions, 5)
         assert np.array_equal(idx, bidx)
         assert np.array_equal(mask, bmask)
+        assert blocks
 
     def test_neighbors_respect_window_and_radius(self):
         rng = np.random.default_rng(9)
