@@ -45,9 +45,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod
@@ -96,9 +93,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -183,15 +177,6 @@ class Tensor:
 
         return Tensor._make(self.data[key], (self,), backward)
 
-    def transpose(self, *axes):
-        axes = axes or None
-        inv = np.argsort(axes) if axes else None
-
-        def backward(g):
-            self._accum(g.transpose(inv) if inv is not None else g.transpose())
-
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -238,26 +223,6 @@ class Tensor:
             self._accum(out_data * (g - dot))
 
         return Tensor._make(out_data, (self,), backward)
-
-    # -- linear algebra -----------------------------------------------------
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-        if self.data.ndim == 1:  # vector @ matrix
-            return (self.reshape(1, -1) @ other).reshape(-1)
-        if other.data.ndim == 1:  # matrix @ vector
-            return (self @ other.reshape(-1, 1)).reshape(self.shape[:-1])
-        if self.shape[-1] != other.shape[-2]:
-            raise ShapeMismatch(self.shape, other.shape, "matmul operands")
-        out_data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
 
     # -- gather / scatter ---------------------------------------------------
 

@@ -1,49 +1,15 @@
-"""The configuration of the registration network the program runs, sized for
-synthetic desk-scale scenes (32x64 images, ~512 points), and of training."""
+"""The configuration of the registration network and of training. The
+network's fixed shape is a set of constants in `registration`; a caller sets
+only the image strides."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .cost_volume import MixtureSpec
-from .geometry import SphericalConfig
-from .sampling import GroupingSpec
+from dataclasses import dataclass
 
 
 @dataclass
 class ModelConfig:
-    spherical: SphericalConfig = field(
-        default_factory=lambda: SphericalConfig(16, 256, 22.0, 22.0, frame="camera"))
-    image_channels: tuple = ((8, 16), (16, 32), (32, 32))
     image_strides: tuple = ((2, 2), (2, 2), (2, 2))
-    point_dims: tuple = ((16, 16), (16, 32), (32, 32), (32, 64))
-    # kernels widen with the cumulative stride lattice so each level
-    # still sees a 3x5 window of surviving candidates
-    point_groupings: tuple = field(default_factory=lambda: (
-        GroupingSpec(8, (3, 5), 1.0, (2, 2)),
-        GroupingSpec(8, (5, 9), 2.0, (2, 1)),
-        GroupingSpec(8, (9, 9), 4.0, (1, 2)),
-        GroupingSpec(8, (9, 17), 8.0, (2, 1)),
-    ))
-    coarse_mixture: MixtureSpec = field(
-        default_factory=lambda: MixtureSpec("knn", k=16, k2=4, lst_dist=2.0))
-    fine_mixture: MixtureSpec = field(
-        default_factory=lambda: MixtureSpec("knn", k=16, k2=4, lst_dist=2.0))
-    ic_dims: tuple = (32, 32)
-    sal_dims: tuple = (32, 32)
-    pos_dim: int = 16
-    lst_dims: tuple = (32, 32)
-    context_dims: tuple = (32, 32)
-    context_grouping: GroupingSpec = field(
-        default_factory=lambda: GroupingSpec(8, (17, 17), 8.0))
-    upsample_grouping: GroupingSpec = field(
-        default_factory=lambda: GroupingSpec(8, (17, 17), 8.0))
-    upsample_mlp_dims: tuple = (32, 32)
-    upsample_out: int = 32
-    oe_dims: tuple = (32, 32)
-    mask_dims: tuple = (32, 32)
-    middle_dim: int = 64
-    dropout: float = 0.5
 
 
 def desk_config() -> ModelConfig:
@@ -82,6 +48,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if len(self.betas) != 2:
             raise ValueError("betas needs two values")
+        if not all(0.0 <= b < 1.0 for b in self.betas):  # NaN fails too
+            raise ValueError("betas must lie in [0, 1)")
 
 
 def parse_kv_file(path) -> dict:

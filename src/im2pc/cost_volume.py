@@ -23,7 +23,7 @@ MASK_NEG = -1e30
 Z_MIN = 1e-3              # depth clamp of normalized_points
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureSpec:
     mode: str                 # "all" or "knn"
     k: int = 32               # pixel candidates per point (knn mode)

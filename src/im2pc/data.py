@@ -204,8 +204,8 @@ def read_scene(dirname) -> Scene:
                 meta[key] = val
         pose = PoseQT(_floats(meta.pop("q"), 4), _floats(meta.pop("t"), 3))
         K = CameraIntrinsics(*_floats(meta.pop("intrinsics"), 4))
-        if "noise" in meta:
-            meta["noise"] = float(meta["noise"])
+        if "noise" in meta or meta.get("mode") == "decalib":  # decalib scores by it
+            meta["noise"] = _floats(meta["noise"], 1)[0]
         if "seed" in meta:
             meta["seed"] = int(meta["seed"])
     except (KeyError, ValueError, ZeroRange) as e:  # missing key, bad number

@@ -247,12 +247,6 @@ def rre_rte(pred: PoseQT, gt: PoseQT) -> tuple[float, float]:
     return rre, rte
 
 
-def rot_transl_error(pred: RigidTransform, gt: RigidTransform) -> tuple[float, float]:
-    He = pred.compose(gt.inverse())
-    c = np.clip((np.trace(He.R) - 1.0) / 2.0, -1.0, 1.0)
-    return float(math.degrees(math.acos(c))), float(np.linalg.norm(He.t))
-
-
 def _so3_log(R: np.ndarray) -> np.ndarray:
     c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     theta = math.acos(c)

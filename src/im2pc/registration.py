@@ -11,17 +11,37 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ModelConfig
-from .cost_volume import CostVolumeModule, StageNeighbours, normalized_pixels
+from .cost_volume import CostVolumeModule, MixtureSpec, StageNeighbours, normalized_pixels
 from .errors import DegenerateQuaternion, IndexMismatch, ShapeMismatch
-from .geometry import (CameraIntrinsics, PoseQT, canonical_sign, quat_mul, quat_rotate,
-                       spherical_project_many)
+from .geometry import (CameraIntrinsics, PoseQT, SphericalConfig, canonical_sign,
+                       quat_mul, quat_rotate, spherical_project_many)
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import ContextGather, ImagePyramid, PointPyramid, Upsample
-from .sampling import PointCloud
+from .sampling import GroupingSpec, PointCloud
 
+# The network's fixed shape, sized for synthetic desk-scale scenes (32x64
+# images, ~512 points). Every net shares these instances, so they are frozen.
 IMAGE_CHANNELS = 3      # RGB, as read_ppm and synth_scene give it
 POINT_FEATURES = 4      # per-point input width of load_kitti_bin and synth_scene
+SPHERICAL = SphericalConfig(16, 256, 22.0, 22.0, frame="camera")
+IMAGE_WIDTHS = ((8, 16), (16, 32), (32, 32))
+POINT_WIDTHS = ((16, 16), (16, 32), (32, 32), (32, 64))
+# kernels widen with the cumulative stride lattice so each level still sees a
+# 3x5 window of surviving candidates
+POINT_GROUPINGS = (
+    GroupingSpec(8, (3, 5), 1.0, (2, 2)),
+    GroupingSpec(8, (5, 9), 2.0, (2, 1)),
+    GroupingSpec(8, (9, 9), 4.0, (1, 2)),
+    GroupingSpec(8, (9, 17), 8.0, (2, 1)),
+)
+MIXTURE = MixtureSpec("knn", k=16, k2=4, lst_dist=2.0)    # both stages
+NEIGHBOURHOOD = GroupingSpec(8, (17, 17), 8.0)            # context and upsampling
+# the ic, sal, lst, context, upsample, oe and mask stacks; the mask heads weigh
+# the cost volumes, so all end at one width
+HIDDEN = (32, 32)
+POS_DIM = 16
+MIDDLE_DIM = 64
 
 
 def quat_normalize_t(q: Tensor) -> Tensor:
@@ -100,57 +120,44 @@ class RegistrationNet(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        self.image_pyramid = ImagePyramid("img", IMAGE_CHANNELS, cfg.image_channels,
+        self.image_pyramid = ImagePyramid("img", IMAGE_CHANNELS, IMAGE_WIDTHS,
                                           cfg.image_strides, rng)
-        self.point_pyramid = PointPyramid("pts", POINT_FEATURES, cfg.point_dims,
-                                          cfg.point_groupings, rng)
-        img_dim = cfg.image_channels[2][-1]
-        f4_dim = cfg.point_dims[3][-1]
-        f3_dim = cfg.point_dims[2][-1]
-        self.cv_coarse = CostVolumeModule("coarse.cv", f4_dim, img_dim,
-                                          cfg.coarse_mixture, cfg.ic_dims,
-                                          cfg.sal_dims, cfg.pos_dim, cfg.lst_dims, rng)
-        self.context = ContextGather("coarse.ctx", cfg.ic_dims[-1], cfg.context_dims,
-                                     cfg.context_grouping, rng)
-        cdim = cfg.context_dims[-1]
-        self.mask_coarse = SharedMlp("coarse.mask", cdim + f4_dim, cfg.mask_dims, rng,
+        self.point_pyramid = PointPyramid("pts", POINT_FEATURES, POINT_WIDTHS,
+                                          POINT_GROUPINGS, rng)
+        img_dim = IMAGE_WIDTHS[2][-1]
+        f3_dim, f4_dim = POINT_WIDTHS[2][-1], POINT_WIDTHS[3][-1]
+        width = HIDDEN[-1]
+        self.cv_coarse = CostVolumeModule("coarse.cv", f4_dim, img_dim, MIXTURE, HIDDEN,
+                                          HIDDEN, POS_DIM, HIDDEN, rng)
+        self.context = ContextGather("coarse.ctx", width, HIDDEN, NEIGHBOURHOOD, rng)
+        self.mask_coarse = SharedMlp("coarse.mask", width + f4_dim, HIDDEN, rng,
                                      final_linear=True)
-        self.regress_coarse = PoseRegressor("coarse.pose", cdim, cfg.middle_dim, rng)
-        self.cv_fine = CostVolumeModule("fine.cv", f3_dim, img_dim, cfg.fine_mixture,
-                                        cfg.ic_dims, cfg.sal_dims, cfg.pos_dim,
-                                        cfg.lst_dims, rng)
-        self.up_e = Upsample("fine.up_e", cdim, f3_dim, cfg.upsample_mlp_dims,
-                             cfg.upsample_out, cfg.upsample_grouping, rng)
-        self.up_m = Upsample("fine.up_m", cfg.mask_dims[-1], f3_dim,
-                             cfg.upsample_mlp_dims, cfg.upsample_out,
-                             cfg.upsample_grouping, rng)
-        self.oe_mlp = SharedMlp("fine.oe", cfg.ic_dims[-1] + cfg.upsample_out + f3_dim,
-                                cfg.oe_dims, rng)
-        self.mask_fine = SharedMlp("fine.mask",
-                                   cfg.oe_dims[-1] + cfg.upsample_out + f3_dim,
-                                   cfg.mask_dims, rng, final_linear=True)
-        self.regress_fine = PoseRegressor("fine.pose", cfg.oe_dims[-1],
-                                          cfg.middle_dim, rng)
-        if cfg.mask_dims[-1] != cdim or cfg.oe_dims[-1] != cfg.mask_dims[-1]:
-            raise ValueError("mask width must match the cost-volume width")
+        self.regress_coarse = PoseRegressor("coarse.pose", width, MIDDLE_DIM, rng)
+        self.cv_fine = CostVolumeModule("fine.cv", f3_dim, img_dim, MIXTURE, HIDDEN,
+                                        HIDDEN, POS_DIM, HIDDEN, rng)
+        self.up_e = Upsample("fine.up_e", width, f3_dim, HIDDEN, width, NEIGHBOURHOOD, rng)
+        self.up_m = Upsample("fine.up_m", width, f3_dim, HIDDEN, width, NEIGHBOURHOOD, rng)
+        self.oe_mlp = SharedMlp("fine.oe", 2 * width + f3_dim, HIDDEN, rng)
+        self.mask_fine = SharedMlp("fine.mask", 2 * width + f3_dim, HIDDEN, rng,
+                                   final_linear=True)
+        self.regress_fine = PoseRegressor("fine.pose", width, MIDDLE_DIM, rng)
 
     # -- stages -------------------------------------------------------------
 
     def geometry(self, cloud: PointCloud, image, K: CameraIntrinsics) -> SceneGeometry:
-        """The scene's fixed sampling and searches, on the grid of
-        cfg.spherical; spherical coordinates the cloud carries are ignored."""
-        cfg = self.cfg
-        sph = spherical_project_many(cloud.positions, cfg.spherical)
+        """The scene's fixed sampling and searches, on the SPHERICAL grid;
+        spherical coordinates the cloud carries are ignored."""
+        sph = spherical_project_many(cloud.positions, SPHERICAL)
         base = PointCloud(cloud.positions, cloud.features, spherical=sph, level=cloud.level)
-        levels = self.point_pyramid.sample(base, cfg.spherical)
+        levels = self.point_pyramid.sample(base, SPHERICAL)
         cloud3, cloud4 = levels[2].centers, levels[3].centers
         grid = self.image_pyramid.level_grids(image.shape[0], image.shape[1])[2]
         coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical,
-                                           normalized_pixels(grid, K), cfg.spherical)
+                                           normalized_pixels(grid, K), SPHERICAL)
         # up_e and up_m are built from one spec, so they share one search
         return SceneGeometry(cloud.positions, tuple(image.shape[:2]), K, levels,
-                             self.context.group(cloud4, cfg.spherical),
-                             self.up_e.group(cloud3, cloud4, cfg.spherical), coarse)
+                             self.context.group(cloud4, SPHERICAL),
+                             self.up_e.group(cloud3, cloud4, SPHERICAL), coarse)
 
     def extract(self, cloud: PointCloud, image, K: CameraIntrinsics,
                 geometry: SceneGeometry, train: bool):
@@ -161,48 +168,49 @@ class RegistrationNet(Module):
         return img_levels, point_levels
 
     def run_coarse(self, img_levels, point_levels, geometry: SceneGeometry, train: bool,
-                   rng: Optional[np.random.Generator] = None) -> StageOutput:
-        cfg = self.cfg
+                   rng: Optional[np.random.Generator] = None,
+                   dropout: float = 0.0) -> StageOutput:
         cloud4 = point_levels[4]
         pos4 = Tensor(cloud4.positions)
         cv4 = self.cv_coarse(pos4, cloud4.spherical, cloud4.features, img_levels[2],
-                             cfg.spherical, train, level=4, point_ref=cloud4,
+                             SPHERICAL, train, level=4, point_ref=cloud4,
                              neighbours=geometry.coarse)
         e4new = self.context(cv4.entries, cloud4, geometry.context, train)
         m4 = self.mask_coarse(ad.concat([e4new, cloud4.features], axis=1), train)
-        q4, t4 = self.regress_coarse(e4new, m4, cfg.dropout, train, rng)
+        q4, t4 = self.regress_coarse(e4new, m4, dropout, train, rng)
         return StageOutput(PoseQT(q4.data, t4.data), q4, t4, e4new, m4)
 
     def run_fine(self, img_levels, point_levels, coarse: StageOutput,
                  geometry: SceneGeometry, train: bool,
-                 rng: Optional[np.random.Generator] = None) -> StageOutput:
-        cfg = self.cfg
+                 rng: Optional[np.random.Generator] = None,
+                 dropout: float = 0.0) -> StageOutput:
         cloud3 = point_levels[3]
         cloud4 = point_levels[4]
         warped = quat_rotate(coarse.q_t, Tensor(cloud3.positions)) + \
             coarse.t_t.reshape(1, 3)
-        sph_w = spherical_project_many(warped.data, cfg.spherical)
+        sph_w = spherical_project_many(warped.data, SPHERICAL)
         cv3 = self.cv_fine(warped, sph_w, cloud3.features, img_levels[2],
-                           cfg.spherical, train, level=3, point_ref=cloud3)
+                           SPHERICAL, train, level=3, point_ref=cloud3)
         ue3 = self.up_e(coarse.cost_volume, cloud4, cloud3, cloud3.features,
                         geometry.upsample, train)
         um3 = self.up_m(coarse.mask_logits, cloud4, cloud3, cloud3.features,
                         geometry.upsample, train)
         oe3 = self.oe_mlp(ad.concat([cv3.entries, ue3, cloud3.features], axis=1), train)
         m3 = self.mask_fine(ad.concat([oe3, um3, cloud3.features], axis=1), train)
-        dq, dt = self.regress_fine(oe3, m3, cfg.dropout, train, rng)
+        dq, dt = self.regress_fine(oe3, m3, dropout, train, rng)
         q3 = quat_normalize_t(quat_mul(dq, coarse.q_t))
         t3 = quat_rotate(dq, coarse.t_t.reshape(1, 3)).reshape(3) + dt
         return StageOutput(PoseQT(q3.data, t3.data), q3, t3, oe3, m3)
 
     def __call__(self, cloud: PointCloud, image, K: CameraIntrinsics,
                  train: bool = False, rng: Optional[np.random.Generator] = None,
-                 geometry: Optional[SceneGeometry] = None):
+                 geometry: Optional[SceneGeometry] = None, dropout: float = 0.0):
         """Both stages. `geometry` is RegistrationNet.geometry of this cloud,
-        image shape and K; without it the forward builds its own."""
+        image shape and K; without it the forward builds its own. `dropout` is
+        the pose heads' drop rate in train mode."""
         if geometry is None:
             geometry = self.geometry(cloud, image, K)
         img_levels, point_levels = self.extract(cloud, image, K, geometry, train)
-        coarse = self.run_coarse(img_levels, point_levels, geometry, train, rng)
-        fine = self.run_fine(img_levels, point_levels, coarse, geometry, train, rng)
+        coarse = self.run_coarse(img_levels, point_levels, geometry, train, rng, dropout)
+        fine = self.run_fine(img_levels, point_levels, coarse, geometry, train, rng, dropout)
         return coarse, fine

@@ -45,7 +45,7 @@ class PointCloud:
         return self.positions.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupingSpec:
     k: int
     kernel: tuple = (3, 3)       # (kh, kw)

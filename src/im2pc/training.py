@@ -119,7 +119,6 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
             geometries[i] = model.geometry(s.cloud, s.image, s.K)
         return geometries[i]
 
-    model.cfg.dropout = cfg.dropout
     lp = LossParams(cfg.sq_init, cfg.st_init)
     params = model.named_parameters() + lp.named_parameters()
     opt = Adam(params, lr=cfg.lr, betas=cfg.betas)
@@ -142,7 +141,8 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
                     scene = scenes[i]
                     target = scene.gt_pose.inverse()
                     coarse, fine = model(scene.cloud, scene.image, scene.K,
-                                         train=True, rng=rng, geometry=geometry(i))
+                                         train=True, rng=rng, geometry=geometry(i),
+                                         dropout=cfg.dropout)
                     one = total_loss(coarse, fine, target, lp,
                                      alpha3=cfg.alpha3, alpha4=cfg.alpha4)
                     loss = one if loss is None else loss + one
@@ -166,6 +166,8 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
                 continue
             rre, rte = evaluate_scenes(model, [scenes[i] for i in hold],
                                        [geometry(i) for i in hold])
+            if not (np.isfinite(rre) and np.isfinite(rte)):
+                raise NonFiniteLoss(f"non-finite holdout errors at epoch {epoch}")
             row = [epoch, "holdout", float(np.mean(epoch_losses)), rre, rte, opt.lr]
             rows.append(row)
             if writer:

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: generation determinism, the train /
 eval / infer flow, the grouping benchmark, and exit codes."""
 
+import math
 import os
 import shutil
 
 import numpy as np
 import pytest
 
+from im2pc import training
 from im2pc.cli import main
 from im2pc.config import TrainConfig, apply_overrides, parse_kv_file
 
@@ -183,7 +185,15 @@ def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
     assert "data error" in err
 
 
+def as_decalib(*noise):
+    """A meta.txt edit that makes the scene a decalibration one with these noise lines."""
+    return lambda lines: [l for l in lines if not l.startswith(("mode=", "noise="))] + \
+        ["mode=decalib", *noise]
+
+
 BAD_META_EDITS = {  # case: edit of a generated scene's meta.txt lines
+    "decalib_noise_missing": as_decalib(),
+    "decalib_noise_nan": as_decalib("noise=nan"),
     "intrinsics_missing": lambda lines: [l for l in lines if not l.startswith("intrinsics=")],
     "q_missing": lambda lines: [l for l in lines if not l.startswith("q=")],
     "q_not_a_number": lambda lines: ["q=abc,0,0,0" if l.startswith("q=") else l
@@ -219,6 +229,8 @@ BAD_TRAIN_CONFIGS = {  # case: config text
     "holdout_frac_one": "holdout_frac=1\n",
     "holdout_frac_negative": "holdout_frac=-0.1\n",
     "betas_one_value": "betas=0.9\n",
+    "betas_first_one": "betas=1,0.999\n",
+    "betas_second_negative": "betas=0.9,-0.5\n",
     "lr_zero": "lr=0\n",
     "lr_negative": "lr=-5\n",
     "clip_norm_negative": "clip_norm=-1\n",
@@ -238,6 +250,19 @@ def test_bad_train_config_exit_3(trained, tmp_path, capsys, case):
                          "--out", str(ckpt))
     assert code == 3
     assert "data error" in err and "train.cfg" in err
+    assert not ckpt.exists() and "checkpoint" not in out
+
+
+def test_non_finite_holdout_exit_4(trained, tmp_path, capsys, monkeypatch):
+    data, _, _ = trained
+    monkeypatch.setattr(training, "evaluate_scenes", lambda *a, **k: (math.nan, math.nan))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\n")
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run(capsys, "train", "--data", data, "--config", str(cfg),
+                         "--out", str(ckpt))
+    assert code == 4
+    assert "invariant violation" in err
     assert not ckpt.exists() and "checkpoint" not in out
 
 

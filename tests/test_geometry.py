@@ -9,8 +9,6 @@ from im2pc.cost_volume import Z_MIN, normalized_pixel_grid, normalized_points
 from im2pc.errors import NotARotation, ZeroNoise, ZeroRange
 from im2pc.pyramids import FeatureImage
 
-from util import random_rotation
-
 
 def pixel_image(pixels, K):
     """A one-row feature image whose cells sit at the given pixel coordinates."""
@@ -208,19 +206,6 @@ class TestMetrics:
         gt = G.PoseQT(np.array([1.0, 0, 0, 0]), [0, 0, 0])
         pred = G.PoseQT(np.array([1.0, 0, 0, 0]), [3, 4, 0])
         assert G.rre_rte(pred, gt)[1] == 5.0
-
-    def test_rot_transl_error(self):
-        gt = G.RigidTransform.identity()
-        pred = G.RigidTransform(random_rotation(np.random.default_rng(13)), np.zeros(3))
-        # 90-degree case, hand-checked through the trace formula
-        R90 = G.pose_to_matrix(G.PoseQT.from_axis_angle([1, 1, 0], math.pi / 2)).R
-        rot, _ = G.rot_transl_error(G.RigidTransform(R90, np.zeros(3)), gt)
-        assert abs(rot - 90.0) < 1e-9
-        _, tr = G.rot_transl_error(G.RigidTransform(np.eye(3), [0.06, 0.08, 0]), gt)
-        assert abs(tr - 0.1) < 1e-12
-        # arccos near 1 is ill-conditioned; allow a micro-degree of residue
-        rot_s, tr_s = G.rot_transl_error(pred, pred)
-        assert rot_s < 1e-5 and tr_s == 0.0
 
     def test_se3_distance(self):
         a = G.RigidTransform.identity()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import im2pc.nn_blocks as nn
-from im2pc.autodiff import Tensor
+from im2pc.autodiff import Tensor, _unbroadcast
 from im2pc.errors import ShapeMismatch
 from util import finite_diff, rel_err
 
@@ -74,8 +74,23 @@ class TestFeatureNorm:
 
 # -- the fused layers against the same maths built from Tensor primitives -----
 
+def matmul(a, b):
+    """a @ b as one graph node. The package has no matmul op: its layers
+    multiply inside their own fused nodes, so the oracle brings its own."""
+    if a.data.ndim == 1:  # vector @ matrix
+        return matmul(a.reshape(1, -1), b).reshape(-1)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._make(a.data @ b.data, (a, b), backward)
+
+
 def composed_linear(lin, x):
-    return x @ lin.weight.tensor + lin.bias.tensor
+    return matmul(x, lin.weight.tensor) + lin.bias.tensor
 
 
 def composed_norm_act(norm, x, train):
@@ -84,8 +99,8 @@ def composed_norm_act(norm, x, train):
         flat = x.reshape(-1, x.shape[-1])
         n = flat.shape[0]
         ones = Tensor(np.ones(n))  # channel means as the same BLAS products
-        mu = (ones @ flat) / float(n)
-        var = (ones @ ((flat - mu) * (flat - mu))) / float(n)
+        mu = matmul(ones, flat) / float(n)
+        var = matmul(ones, (flat - mu) * (flat - mu)) / float(n)
         norm.running_mean = (
             (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data
         )

@@ -1,6 +1,8 @@
 """Differentiable pose algebra against the matrix oracle, mask-weighting
 invariances, and end-to-end determinism of the two-stage network."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,14 @@ class TestPoseRegressor:
 
 
 class TestNetwork:
+    def test_shared_shape_constants_are_frozen(self):
+        # every net holds these instances, so none may change one for all
+        for spec, field in ((R.POINT_GROUPINGS[0], "k"), (R.NEIGHBOURHOOD, "k"),
+                            (R.MIXTURE, "k")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field, 4)
+        assert R.POINT_GROUPINGS[0].k == 8 and R.MIXTURE.k == 16
+
     def test_eval_mode_deterministic(self):
         cfg = desk_config()
         net = R.RegistrationNet(cfg, seed=0)
@@ -138,11 +148,22 @@ class TestNetwork:
         np.testing.assert_array_equal(f1.t_t.data, f2.t_t.data)
         np.testing.assert_array_equal(c1.q_t.data, c2.q_t.data)
 
+    def test_train_forward_applies_the_dropout_argument(self):
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(0, SceneConfig(n_points=128))
+
+        def fine_t(**dropout):
+            return net(scene.cloud, scene.image, scene.K, train=True,
+                       rng=np.random.default_rng(0), **dropout)[1].t_t.data
+
+        plain = fine_t()
+        np.testing.assert_array_equal(fine_t(dropout=0.0), plain)
+        assert not np.array_equal(fine_t(dropout=0.5), plain)
+
     def test_eval_forward_on_cloud_smaller_than_k(self):
         # 6 points, fewer than the first grouping's k = 8
-        cfg = desk_config()
-        assert cfg.point_groupings[0].k > 6
-        net = R.RegistrationNet(cfg, seed=0)
+        assert R.POINT_GROUPINGS[0].k > 6
+        net = R.RegistrationNet(desk_config(), seed=0)
         scene = synth_scene(3, SceneConfig(n_points=6))
         assert scene.cloud.count == 6
         coarse, fine = net(scene.cloud, scene.image, scene.K, train=False)

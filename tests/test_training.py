@@ -1,5 +1,6 @@
 """Loss identities, optimizer behavior, schedule, and gradient flow."""
 
+import copy
 import math
 
 import numpy as np
@@ -136,6 +137,25 @@ class TestSchedule:
         with pytest.raises(NonFiniteLoss):
             T.train(net, [scene], TrainConfig(epochs=1, seed=0, holdout_frac=0.0),
                     "/tmp/no.ckpt")
+
+    def test_non_finite_holdout_errors_raise(self, tmp_path, monkeypatch):
+        # a diverged model scores NaN, which no RTE comparison ever prefers:
+        # the run must stop instead of ending without a checkpoint
+        net = RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(0, SceneConfig(n_points=64))
+        monkeypatch.setattr(T, "evaluate_scenes", lambda *a, **k: (math.nan, math.nan))
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(NonFiniteLoss):
+            T.train(net, [scene], TrainConfig(epochs=1, seed=0, holdout_frac=0.0), ckpt)
+        assert not ckpt.exists()
+
+    def test_train_leaves_the_model_config_as_built(self, tmp_path):
+        net = RegistrationNet(desk_config(), seed=0)
+        built = copy.deepcopy(net.cfg)
+        scene = synth_scene(0, SceneConfig(n_points=64))
+        T.train(net, [scene], TrainConfig(epochs=1, seed=0, dropout=0.0, holdout_frac=0.0),
+                tmp_path / "m.ckpt")
+        assert net.cfg == built
 
 
 class TestEndToEndGradient:
