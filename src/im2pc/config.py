@@ -4,6 +4,7 @@ only the image strides."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -46,6 +47,13 @@ class TrainConfig:
         for name in ("holdout_frac", "dropout"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1)")
+        if self.seed < 0:  # np.random.default_rng refuses it
+            raise ValueError("seed must be non-negative")
+        alphas = (self.alpha3, self.alpha4)
+        if not all(0.0 <= a < math.inf for a in alphas):  # NaN fails too
+            raise ValueError("alpha3 and alpha4 must be finite and non-negative")
+        if not any(alphas):
+            raise ValueError("alpha3 and alpha4 must not both be 0")
         if len(self.betas) != 2:
             raise ValueError("betas needs two values")
         if not all(0.0 <= b < 1.0 for b in self.betas):  # NaN fails too

@@ -98,8 +98,7 @@ def knn_pixel_candidates(pbar: np.ndarray, pixel_plane: np.ndarray, k: int) -> n
     """k nearest pixels per point on the normalized plane, ties to lower index."""
     if k > pixel_plane.shape[0]:
         raise NoCandidates(f"k={k} exceeds pixel count {pixel_plane.shape[0]}")
-    block = np.arange(pixel_plane.shape[0])[None]
-    return _knn_select(pbar, pixel_plane, block, k, np.inf)[0]
+    return _knn_select(pbar, pixel_plane, k, np.inf)[0]
 
 
 class CostVolumeModule(Module):

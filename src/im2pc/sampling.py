@@ -1,12 +1,15 @@
 """Point-set downsampling and neighborhood queries, in vectorized numpy.
 
 cell_sample and projection-aware KNN follow the spherical-grid scheme:
-the azimuth axis wraps modulo W, elevation clamps. Projection-aware KNN
-visits only the cells of each center's kernel window; brute-force KNN
-searches every candidate. Both order neighbours by (distance, index), pad
-k > candidate count with the nearest valid index, and take centers in row
-chunks of at most _CHUNK_PAIRS center-candidate pairs, so a search's
-working memory is bounded by that constant, not by M * N.
+the azimuth axis wraps modulo W, elevation clamps. cell_sample keeps the
+first point of each cell through a table indexed by cell key, without
+sorting the keys. Projection-aware KNN visits only the cells of each
+center's kernel window; brute-force KNN searches every candidate. Both
+order neighbours by (distance, index), pad k > candidate count with the
+nearest valid index, and take centers in row chunks of at most _CHUNK_PAIRS
+center-candidate pairs, written into preallocated (M, k) outputs. So a
+search's working memory is that constant plus its outputs, not M * N, and
+the constant is small enough that a chunk's passes run in cache.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ from .autodiff import Tensor
 from .errors import EmptyLevel, MissingSpherical
 from .geometry import SphericalConfig
 
-# center-candidate pairs in one row chunk of a KNN search, ~25 bytes each
-_CHUNK_PAIRS = 1 << 20
+# center-candidate pairs in one row chunk of a KNN search, ~25 bytes each over
+# the chunk's distance, gate, partition and compaction passes: 2^15 keeps them
+# near 1 MB, inside one core's L2 cache (2 MB on the Xeon it was tuned on). A
+# 16,384-point cloud's level-1 search (~200k pairs) ran ~1.4x faster than in
+# one piece; at 2^13 per-chunk overhead made it slower again.
+_CHUNK_PAIRS = 1 << 15
 
 
 @dataclass
@@ -65,7 +72,9 @@ def cell_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
     """First-in-order representative per sh x sw cell of the spherical grid.
 
     Every occupied coarse cell keeps one point, so the result is never empty
-    for a non-empty cloud.
+    for a non-empty cloud. The table of first occurrences spans the cell keys
+    from the lowest to the highest, one entry per coarse cell of the grid
+    for on-grid coordinates.
     """
     if cloud.spherical is None:
         raise MissingSpherical("cell_sample needs spherical coordinates")
@@ -73,21 +82,29 @@ def cell_sample(cloud: PointCloud, strides: tuple) -> np.ndarray:
     cu = cloud.spherical[:, 0] // sw
     cu = cu - cu.min(initial=0)
     key = (cloud.spherical[:, 1] // sh) * (cu.max(initial=0) + 1) + cu
-    _, first = np.unique(key, return_index=True)  # first occurrence of each cell
-    return np.sort(first)
+    key -= key.min(initial=0)
+    # first occurrence of each cell, over a table as long as the key span
+    n = len(key)
+    first = np.full(key.max(initial=-1) + 1, n)
+    np.minimum.at(first, key, np.arange(n))
+    return np.sort(first[first < n])
 
 
-def _sq_dist(a, b):
-    """Squared distances between points given coordinate-major: `a` and `b`
-    each yield one array per coordinate, broadcasting against each other.
+def _sq_dist(centers, coords, block):
+    """Squared distances from each of the (m, dim) centers to its row of
+    `block`, columns of the coordinate-major (dim, n) `coords`; block is
+    (m, L), or one (1, L) row shared by every center.
 
     Sums one coordinate at a time, left to right, as numpy sums a short last
     axis, so it is bitwise ((c - x) ** 2).sum(axis=-1) for coordinate-last
-    c and x; gathering and subtracting one coordinate at a time is faster.
+    c and x. Each coordinate is gathered with np.take and, for a block of
+    its own per center, worked on in place: ~2.5x faster than fancy
+    indexing into fresh temporaries.
     """
     out = None
-    for aj, bj in zip(a, b):
-        d = aj - bj
+    for cj, xj in zip(centers.T, coords):
+        d = np.take(xj, block)
+        d = np.subtract(cj[:, None], d, out=d if len(d) == len(cj) else None)
         d *= d
         if out is None:
             out = d
@@ -102,45 +119,60 @@ def _row_chunks(m, width):
     return [slice(i, i + step) for i in range(0, m, step)]
 
 
-def _knn_select(centers, candidates, block, k, max_sq):
-    """Per-center k-nearest among its row of `block` within sqrt(max_sq).
+def _knn_select(centers, candidates, k, max_sq):
+    """Per-center k-nearest among every candidate within sqrt(max_sq), in
+    _row_chunks slices written into (M, k) index and mask outputs."""
+    idx = np.empty((centers.shape[0], k), dtype=np.intp)
+    mask = np.empty((centers.shape[0], k), dtype=bool)
+    block = np.arange(candidates.shape[0])[None]
+    for r in _row_chunks(centers.shape[0], candidates.shape[0]):
+        _select_chunk(idx[r], mask[r], centers[r], candidates.T, block, None, k, max_sq)
+    _pad(idx, mask, centers, candidates)
+    return idx, mask
 
-    block is (M, L) candidate indices, -1 marking empty slots, or one (1, N)
-    row shared by every center. Neighbours are ordered by (distance, index).
-    Slots past the last valid neighbour repeat the nearest valid index, or
-    the globally nearest candidate when nothing is valid. Rows are
-    independent, so a search wider than one _row_chunks slice runs per slice.
+
+def _select_chunk(out_idx, out_mask, centers, coords, block, index, k, max_sq):
+    """Each center's k-nearest among its row of `block` within sqrt(max_sq),
+    ordered by (distance, index), written into the (m, k) views out_idx and
+    out_mask. The slots past a row's last neighbour are left for _pad.
+
+    block is (m, L) columns of the coordinate-major `coords`, or one (1, N)
+    row shared by every center; `index` maps a column to its candidate index
+    (None: the column is the index). A column whose coordinates are NaN
+    fails every distance test, so it can fill the empty slots of a row.
     """
-    chunks = _row_chunks(centers.shape[0], block.shape[1])
-    if len(chunks) > 1:
-        parts = [_knn_select(centers[r], candidates, block if len(block) == 1 else block[r],
-                             k, max_sq) for r in chunks]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    n = candidates.shape[0]
-    d = _sq_dist(centers.T[:, :, None], (c[block] for c in candidates.T))
-    keep = (d <= max_sq) & (block >= 0)
+    d = _sq_dist(centers, coords, block)
     M, L = d.shape
-    if L > k:  # only the k nearest and the ties of the k-th can be selected
-        kth = np.partition(np.where(keep, d, np.inf), k - 1, axis=1)[:, k - 1:k]
-        keep &= d <= kth
+    bound = max_sq
+    if L > k:  # only the k nearest and the ties of the k-th can be selected;
+        # NaN sorts last, and fmin keeps max_sq for rows short of k columns
+        bound = np.fmin(np.partition(d, k - 1, axis=1)[:, k - 1:k], max_sq)
     # compact the kept pairs to the left of a (M, >= k) block, then order
     # each row by (distance, index)
-    rows, cols = np.nonzero(keep)
+    rows, cols = np.nonzero(d <= bound)
     count = np.bincount(rows, minlength=M)
     slots = np.arange(max(count.max(initial=0), k)) < count[:, None]
     dist = np.full(slots.shape, np.inf)
-    idx = np.full(slots.shape, n)
+    idx = np.zeros(slots.shape, dtype=np.intp)
     dist[slots] = d[rows, cols]
-    idx[slots] = np.broadcast_to(block, d.shape)[rows, cols]
+    kept = np.broadcast_to(block, d.shape)[rows, cols]
+    idx[slots] = kept if index is None else index[kept]
     order = np.lexsort((idx, dist))[:, :k]
-    idx = idx[np.arange(M)[:, None], order]
-    mask = slots[:, :k]
-    first = idx[:, 0]
-    empty = np.flatnonzero(count == 0)
-    for r in _row_chunks(len(empty), n):  # brute force over all candidates, for these rows only
+    out_idx[...] = idx[np.arange(M)[:, None], order]
+    out_mask[...] = slots[:, :k]
+
+
+def _pad(idx, mask, centers, candidates):
+    """Fill the slots past each row's last valid neighbour with its nearest
+    valid index, or with the globally nearest candidate when the row has
+    none, found by brute force for those rows only."""
+    first = idx[:, 0].copy()
+    empty = np.flatnonzero(~mask[:, 0])
+    everyone = np.arange(candidates.shape[0])[None]
+    for r in _row_chunks(len(empty), candidates.shape[0]):
         e = empty[r]
-        first[e] = np.argmin(_sq_dist(centers[e].T[:, :, None], candidates.T[:, None, :]), axis=1)
-    return np.where(mask, idx, first[:, None]), mask
+        first[e] = np.argmin(_sq_dist(centers[e], candidates.T, everyone), axis=1)
+    np.copyto(idx, first[:, None], where=~mask)
 
 
 def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
@@ -150,8 +182,7 @@ def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if candidates.shape[0] == 0:
         raise EmptyLevel("no candidate points")
-    return _knn_select(centers, candidates, np.arange(candidates.shape[0])[None], k,
-                       max_dist * max_dist)
+    return _knn_select(centers, candidates, k, max_dist * max_dist)
 
 
 def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
@@ -160,13 +191,13 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
 
     A candidate is in a center's window when its row is within kh // 2 of
     the center's and its column within kw // 2, azimuth wrapping modulo W.
-    Candidates are sorted once by cell key v * W + u; each window row is
-    then at most two non-empty key ranges, found by binary search, so the
-    cost grows with the window population, not with M * N. Centers go in
-    _row_chunks slices, first of their window bounds, then of their padded
-    windows, so memory stays bounded however large the windows. Spherical
-    coordinates must lie on the grid (0 <= u < W), as
-    spherical_project_many makes them.
+    Candidates are sorted once by cell key v * W + u, coordinates included;
+    each window row is then at most two key ranges, looked up in a table of
+    each cell's first position, so the cost grows with the window
+    population, not with M * N. Centers go in _row_chunks slices, first of
+    their window bounds, then of their padded windows, so memory stays
+    bounded however large the windows. Spherical coordinates must lie on the
+    grid (0 <= u < W), as spherical_project_many makes them.
     """
     if centers.spherical is None or candidates.spherical is None:
         raise MissingSpherical("projection-aware grouping needs spherical coordinates")
@@ -176,27 +207,35 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
     W = cfg.W
     key = candidates.spherical[:, 1] * W + candidates.spherical[:, 0]
     order = np.argsort(key)  # order within a cell is free: ties sort by index later
-    key = key[order]
-    vlo, vhi = key[0] // W, key[-1] // W
+    # the candidates' coordinates in key order, so each window range is one
+    # contiguous run, and a NaN column n, which the empty slots read
+    coords = np.empty((3, n + 1))
+    coords[:, n] = np.nan
+    for j in range(3):  # one coordinate at a time gathers ~4x faster than rows
+        coords[j, :n] = candidates.positions[:, j][order]
+    vlo, vhi = key[order[0]] // W, key[order[-1]] // W
     R = min(spec.kernel[0], vhi - vlo + 1)  # window rows inside the candidates' rows
+    # cell key c's candidates are first[c]:first[c + 1] in key order
+    first = np.zeros((vhi + 1) * W + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=(vhi + 1) * W), out=first[1:])
     max_sq = spec.max_dist * spec.max_dist
-    parts = []
-    for r in _row_chunks(max(centers.count, 1), 3 * R):  # one empty slice for no centers
-        pos = centers.positions[r]
-        start, count = _window_ranges(key, centers.spherical[r], spec.kernel, W, vlo, R)
+    idx = np.empty((centers.count, spec.k), dtype=np.intp)
+    mask = np.empty((centers.count, spec.k), dtype=bool)
+    for r in _row_chunks(centers.count, 2 * R):
+        pos, out_idx, out_mask = centers.positions[r], idx[r], mask[r]
+        start, count = _window_ranges(first, centers.spherical[r], spec.kernel, W, vlo, R)
         total = count.sum(axis=1)
         for s in _row_chunks(len(total), total.max()):
-            block = _window_block(order, start[s], count[s], total[s])
-            parts.append(_knn_select(pos[s], candidates.positions, block, spec.k, max_sq))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+            block = _window_block(start[s], count[s], total[s], n)
+            _select_chunk(out_idx[s], out_mask[s], pos[s], coords, block, order, spec.k, max_sq)
+    _pad(idx, mask, centers.positions, candidates.positions)
+    return idx, mask
 
 
-def _window_ranges(key, sph, kernel, W, vlo, R):
-    """(m, 3R) start and length, in the sorted `key`, of the ranges that make
-    up each center's window: R window rows, clipped to the candidates' rows
-    from vlo on, of up to three column ranges each."""
+def _window_ranges(first, sph, kernel, W, vlo, R):
+    """(m, 2R) start and length, in key order, of the ranges that make up
+    each center's window: R window rows, clipped to the candidates' rows
+    from vlo on, of up to two column ranges each."""
     kh, kw = kernel
     hh, hw = kh // 2, kw // 2
     cu, cv = sph[:, :1], sph[:, 1:]
@@ -205,23 +244,34 @@ def _window_ranges(key, sph, kernel, W, vlo, R):
         ulo, uhi = cu - hw, cu + hw + 1
     else:  # the window spans the whole ring
         ulo, uhi = np.zeros_like(cu), np.full_like(cu, W)
-    # columns [ulo, uhi) as up to three ranges inside [0, W): the unwrapped
-    # part and the parts that wrap past either end; (m, R, 3) key bounds
-    shift = np.array([-W, 0, W])
+    # columns [ulo, uhi) as two ranges inside [0, W): the part inside, and
+    # the part past one end, which wraps to the other (kw < W, so not both
+    # ends); (m, R, 2) key bounds, cut to the keys that first covers
+    wraps = ulo < 0
+    clo = np.concatenate([np.maximum(ulo, 0), np.where(wraps, ulo + W, 0)], axis=1)
+    chi = np.concatenate([np.minimum(uhi, W), np.where(wraps, W, np.maximum(uhi - W, 0))], axis=1)
     base = rows[:, :, None] * W
-    lo = base + np.minimum(np.maximum(ulo[:, :, None] + shift, 0), W)
-    hi = base + np.minimum(np.maximum(uhi[:, :, None] + shift, 0), W)
-    hi = np.where(rows[:, :, None] <= cv[:, :, None] + hh, hi, lo)
-    start = np.searchsorted(key, lo.reshape(len(lo), -1))
-    return start, np.searchsorted(key, hi.reshape(len(hi), -1)) - start
+    end = len(first) - 1
+    lo = base + clo[:, None]
+    np.minimum(lo, end, out=lo)
+    hi = base + chi[:, None]
+    np.minimum(hi, end, out=hi)
+    np.copyto(hi, lo, where=rows[:, :, None] > cv[:, :, None] + hh)  # rows past the window
+    start = np.take(first, lo).reshape(len(lo), -1)
+    count = np.take(first, hi).reshape(len(hi), -1)
+    count -= start
+    return start, count
 
 
-def _window_block(order, start, count, total):
-    """Each center's window candidates gathered into a padded (m, max total)
-    block of candidate rows, -1 in the empty slots."""
-    count = count.ravel()
-    skip = start.ravel() - (np.cumsum(count) - count)  # range start minus its output offset
-    src = np.arange(total.sum()) + np.repeat(skip, count)
-    block = np.full((len(total), total.max()), -1)
-    block[np.arange(block.shape[1]) < total[:, None]] = order[src]
-    return block
+def _window_block(start, count, total, pad):
+    """Each center's window gathered into a padded (m, max total) block of
+    positions in the key order, `pad` in the empty slots."""
+    L = total.max()
+    # each row's ranges, then one run of L - total slots from `pad` on,
+    # which the minimum folds to `pad`
+    count = np.concatenate([count, (L - total)[:, None]], axis=1).ravel()
+    start = np.concatenate([start, np.full((len(total), 1), pad)], axis=1).ravel()
+    skip = start - (np.cumsum(count) - count)  # range start minus its output offset
+    block = np.repeat(skip, count)
+    block += np.arange(len(block))
+    return np.minimum(block, pad, out=block).reshape(len(total), L)

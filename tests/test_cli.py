@@ -237,6 +237,12 @@ BAD_TRAIN_CONFIGS = {  # case: config text
     "clip_norm_zero": "clip_norm=0\n",
     "dropout_one": "dropout=1\n",
     "dropout_negative": "dropout=-0.1\n",
+    "seed_negative": "seed=-1\n",
+    "alphas_negative": "alpha3=-1\nalpha4=-1\n",
+    "alpha3_negative": "alpha3=-0.5\n",
+    "alpha4_nan": "alpha4=nan\n",
+    "alpha4_inf": "alpha4=inf\n",
+    "alphas_both_zero": "alpha3=0\nalpha4=0\n",
 }
 
 
@@ -291,6 +297,10 @@ class TestConfigFile:
         cfg = apply_overrides(TrainConfig(), kv)
         assert cfg.lr == 0.01 and cfg.epochs == 2
         assert cfg.betas == (0.8, 0.99)
+
+    def test_one_stage_weight_may_be_zero(self):
+        for weights in ({"alpha3": 0.0}, {"alpha4": 0.0}):
+            TrainConfig(**weights)  # one stage's loss alone is a valid objective
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(KeyError):

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import im2pc.sampling as S
+from im2pc.cli import MODE_CFG
+from im2pc.data import SceneConfig, synth_scene
 from im2pc.errors import MissingSpherical
 from im2pc.geometry import SphericalConfig, spherical_project_many
+from im2pc.registration import POINT_GROUPINGS, SPHERICAL
 
 
 CFG = SphericalConfig(H=16, W=64, f_up=30.0, f_down=30.0)
@@ -114,13 +117,14 @@ class TestSquaredDistance:
         c = rng.normal(size=(50, dim)) * scale
         x = rng.normal(size=(80, dim)) * scale
         ref = ((c[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-        np.testing.assert_array_equal(S._sq_dist(c.T[:, :, None], x.T[:, None, :]), ref)
-        # the gathered block of the KNN core, and one point against a cloud
+        every = np.arange(80)[None]  # one row of columns shared by every center
+        np.testing.assert_array_equal(S._sq_dist(c, x.T, every), ref)
+        # a block of columns per center, and one point against a cloud
         block = rng.integers(0, 80, size=(50, 7))
         ref_block = ((c[:, None, :] - x[block]) ** 2).sum(axis=-1)
-        np.testing.assert_array_equal(
-            S._sq_dist(c.T[:, :, None], (xj[block] for xj in x.T)), ref_block)
-        np.testing.assert_array_equal(S._sq_dist(x.T, c[3]), ((x - c[3]) ** 2).sum(axis=-1))
+        np.testing.assert_array_equal(S._sq_dist(c, x.T, block), ref_block)
+        np.testing.assert_array_equal(S._sq_dist(c[3:4], x.T, every)[0],
+                                      ((x - c[3]) ** 2).sum(axis=-1))
         if dim == 3:  # a right-to-left sum would round differently here
             sq = (c[:, None, :] - x[None, :, :]) ** 2
             assert ((sq[..., 2] + sq[..., 1] + sq[..., 0]) != ref).any()
@@ -306,20 +310,23 @@ class TestProjectionAwareKnn:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # in one piece the search would take ~25 bytes a pair, 420 MB here
-        assert peak < 40 * S._CHUNK_PAIRS  # 42 MB
+        # in one piece the search would take ~25 bytes a pair, 420 MB here;
+        # at a cache-sized chunk the (M, k) outputs weigh as much as the chunk
+        out = 2048 * 16 * (8 + 1)  # idx and mask
+        assert peak < 40 * S._CHUNK_PAIRS + 2 * out  # 1.9 MB
 
     @pytest.mark.parametrize("kernel", ["full", "half"])
     def test_windowed_peak_memory_is_bounded_by_the_chunk(self, kernel):
         cloud, cfg = bench_knn_cloud()
-        _, peak = traced_self_search(cloud, cfg, KERNELS[kernel](cfg))
+        (idx, mask), peak = traced_self_search(cloud, cfg, KERNELS[kernel](cfg))
         # with every center's window bounds and padded window built at once,
-        # the search peaks at 83 MB (full) and 1,243 MB (half)
-        assert peak < 64 * S._CHUNK_PAIRS  # 67 MB
+        # the search peaks at 83 MB (full) and 1,243 MB (half); at a
+        # cache-sized chunk the (M, k) outputs are a third of the peak
+        assert peak < 64 * S._CHUNK_PAIRS + 2 * (idx.nbytes + mask.nbytes)  # 4.4 MB
 
     def test_window_bounds_are_built_per_chunk(self, monkeypatch):
-        # at a small chunk the (M, 3 * kh) window bounds of all 8000 centers
-        # (~56 MB) would dominate; only the output still grows with M
+        # at a small chunk the (M, 2 * kh) window bounds of all 8000 centers
+        # (~37 MB) would dominate; only the output still grows with M
         monkeypatch.setattr(S, "_CHUNK_PAIRS", 1 << 16)
         cloud, cfg = bench_knn_cloud()
         (idx, mask), peak = traced_self_search(cloud, cfg, KERNELS["half"](cfg))
@@ -393,3 +400,42 @@ class TestProjectionAwareKnn:
         idx, mask = S.brute_force_knn(centers, cands, 4, max_dist=1.0)
         assert idx[0].tolist() == [0, 0, 0, 0]
         assert mask[0].tolist() == [True, False, False, False]
+
+
+class TestDenseScale:
+    """The level-1 sampling and search of a 16,384-point scene, as the dense
+    benchmark runs them, against other chunk sizes and the sort-based
+    cell_sample."""
+
+    @pytest.fixture(scope="class")
+    def level1(self):
+        scene = synth_scene(20_000, SceneConfig(n_points=16384, **MODE_CFG["coarse"]))
+        sph = spherical_project_many(scene.cloud.positions, SPHERICAL)
+        cloud = S.PointCloud(scene.cloud.positions, np.zeros((len(sph), 1)), spherical=sph)
+        return cloud, POINT_GROUPINGS[0]
+
+    def test_cell_sample_matches_unique(self, level1):
+        cloud, spec = level1
+        sh, sw = spec.strides
+        u = cloud.spherical[:, 0] // sw
+        key = (cloud.spherical[:, 1] // sh) * (u.max() + 1) + u
+        expected = np.sort(np.unique(key, return_index=True)[1])
+        assert expected.size > 200
+        assert np.array_equal(S.cell_sample(cloud, spec.strides), expected)
+
+    def test_knn_is_bitwise_across_chunk_sizes(self, level1, monkeypatch):
+        cloud, spec = level1
+        first = S.cell_sample(cloud, spec.strides)
+        centers = S.PointCloud(cloud.positions[first], np.zeros((first.size, 1)),
+                               spherical=cloud.spherical[first])
+        idx, mask = S.projection_aware_knn(centers, cloud, spec, SPHERICAL)
+        assert mask.all()
+        some = slice(None, None, 4)  # the dense oracle, for a quarter of the centers
+        window = window_mask(centers.spherical[some], cloud.spherical, spec.kernel, SPHERICAL.W)
+        ref = argsort_knn(centers.positions[some], cloud.positions, window, spec.k,
+                          spec.max_dist ** 2)
+        assert np.array_equal(idx[some], ref[0]) and np.array_equal(mask[some], ref[1])
+        for chunk in (1 << 20, 1 << 10):
+            monkeypatch.setattr(S, "_CHUNK_PAIRS", chunk)
+            other = S.projection_aware_knn(centers, cloud, spec, SPHERICAL)
+            assert np.array_equal(other[0], idx) and np.array_equal(other[1], mask), chunk
