@@ -194,18 +194,17 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     def max(self, axis):
-        """Reduce-max along `axis`; ties route gradient to the lowest index."""
-        idx = np.argmax(self.data, axis=axis)  # argmax picks the first maximum
-        out_data = np.take_along_axis(self.data, np.expand_dims(idx, axis), axis).squeeze(axis)
-
+        """Reduce-max along `axis`; ties route gradient to the lowest index.
+        The backward finds that index, so a forward never pays for it."""
         def backward(g):
+            idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)  # first maximum
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             gexp = np.zeros_like(self.data)
-            np.put_along_axis(gexp, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+            np.put_along_axis(gexp, idx, np.expand_dims(g, axis), axis)
             self.grad += gexp
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data.max(axis=axis), (self,), backward)
 
     def norm_l1(self):
         return self.abs().sum()
@@ -312,26 +311,28 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.shape[:3] != (3, 3, Cin):
         raise ShapeMismatch(w.shape, (3, 3, Cin, -1), "conv weight")
     Cout = w.shape[3]
-    xp = np.pad(x.data, ((1, 1), (1, 1), (0, 0)))
-    cols = np.empty((H, W, 3, 3, Cin), dtype=DTYPE)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j, :] = xp[i : i + H, j : j + W, :]
-    out_data = cols.reshape(H * W, 9 * Cin) @ w.data.reshape(9 * Cin, Cout)
-    out_data = out_data.reshape(H, W, Cout) + b.data
+    xp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
+    xp[1 : 1 + H, 1 : 1 + W] = x.data
+    # im2col: row (h, w) holds the 3x3 window around (h, w) as (i, j, Cin)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
+    cols = windows.transpose(0, 1, 3, 4, 2).reshape(H * W, 9 * Cin)
+    out_data = (cols @ w.data.reshape(9 * Cin, Cout)).reshape(H, W, Cout)
+    out_data += b.data
 
     def backward(g):
         gm = g.reshape(H * W, Cout)
         if w.requires_grad:
-            w._accum((cols.reshape(H * W, 9 * Cin).T @ gm).reshape(3, 3, Cin, Cout))
+            w._accum((cols.T @ gm).reshape(3, 3, Cin, Cout))
         if b.requires_grad:
             b._accum(np.ones(H * W) @ gm)
         if x.requires_grad:
-            gcols = (gm @ w.data.reshape(9 * Cin, Cout).T).reshape(H, W, 3, 3, Cin)
-            gxp = np.zeros_like(xp)
+            gcols = gm @ w.data.reshape(9 * Cin, Cout).T
+            # (i, j, H, W, Cin): each tap's gradient one contiguous block
+            gtaps = gcols.reshape(H, W, 3, 3, Cin).transpose(2, 3, 0, 1, 4).copy()
+            gxp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
             for i in range(3):
                 for j in range(3):
-                    gxp[i : i + H, j : j + W, :] += gcols[:, :, i, j, :]
+                    gxp[i : i + H, j : j + W, :] += gtaps[i, j]
             x._accum(gxp[1 : 1 + H, 1 : 1 + W, :])
 
     return Tensor._make(out_data, (x, w, b), backward)
@@ -346,11 +347,13 @@ def maxpool2d(x: Tensor, stride: tuple) -> Tensor:
     if H % sh or W % sw:
         raise ShapeMismatch((H, W), (sh, sw), "pool stride must divide spatial dims")
     Ho, Wo = H // sh, W // sw
-    blocks = x.data.reshape(Ho, sh, Wo, sw, C).transpose(0, 2, 1, 3, 4).reshape(Ho, Wo, sh * sw, C)
-    idx = np.argmax(blocks, axis=2)
-    out_data = np.take_along_axis(blocks, idx[:, :, None, :], axis=2).squeeze(2)
+    out_data = x.data.reshape(Ho, sh, Wo, sw, C).max(axis=(1, 3))
 
     def backward(g):
+        # each window's first maximum in row-major order takes the gradient
+        blocks = x.data.reshape(Ho, sh, Wo, sw, C).transpose(0, 2, 1, 3, 4).reshape(
+            Ho, Wo, sh * sw, C)
+        idx = np.argmax(blocks, axis=2)
         gb = np.zeros_like(blocks)
         np.put_along_axis(gb, idx[:, :, None, :], g[:, :, None, :], axis=2)
         gx = gb.reshape(Ho, Wo, sh, sw, C).transpose(0, 2, 1, 3, 4).reshape(H, W, C)

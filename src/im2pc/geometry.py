@@ -206,10 +206,10 @@ def spherical_project_many(points: np.ndarray, cfg: SphericalConfig) -> np.ndarr
     modulo W, elevation clamps.
     """
     points = np.asarray(points, dtype=np.float64)
-    r = np.linalg.norm(points, axis=1)
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    r = np.sqrt(x * x + y * y + z * z)  # np.linalg.norm's sum, without its copies
     if np.any(r == 0.0):
         raise ZeroRange("point at the origin has no spherical coordinates")
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
     if cfg.frame == "camera":
         # remap optical axes (x right, y down, z forward) onto the grid's
         # native frame (x forward, y left, z up)

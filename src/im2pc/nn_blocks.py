@@ -6,6 +6,10 @@ are tracked for eval mode. Leaky-ReLU slope is 0.1.
 
 Each layer is one autodiff node with a closed-form backward: Linear, and
 feature-norm fused with its affine and the leaky ReLU that always follows it.
+A node keeps only what its backward needs in its mode: train-mode norms keep
+the normalised input and the pre-activation, eval-mode norms keep the input
+and their statistics and recompute the rest in the backward, with the
+forward's operations, so an inference forward holds one buffer per norm.
 
 On narrow (n, C) arrays numpy's axis-0 reductions and large temporaries cost
 more than the arithmetic, so channel sums are `ones @ x` BLAS products (train
@@ -45,7 +49,8 @@ class Linear(Module):
         if x.shape[-1] != self.in_dim:
             raise ShapeMismatch(x.shape, (self.in_dim,), "linear input")
         w, b = self.weight.tensor, self.bias.tensor
-        out = x.data @ w.data + b.data
+        out = x.data @ w.data
+        out += b.data
 
         def backward(g):
             # one 2-D product over every leading axis at once
@@ -90,16 +95,31 @@ class FeatureNorm(Module):
             self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var
             std = np.sqrt(var + NORM_EPS)
             xn = xn.reshape(x.shape)
+            xn /= std
+            z = xn * gamma.data
+            z += beta.data                 # z = xn * gamma + beta
+            out = z * LEAKY_SLOPE
+            np.maximum(z, out, out=out)    # bitwise z * where(z > 0, 1, LEAKY_SLOPE)
+            kept = (xn, z)
         else:
+            # one buffer: the backward recomputes xn and z from x
+            mean = self.running_mean
             std = np.sqrt(self.running_var + NORM_EPS)
-            xn = x.data - self.running_mean
-        xn /= std
-        z = xn * gamma.data
-        z += beta.data                 # z = xn * gamma + beta
-        out = z * LEAKY_SLOPE
-        np.maximum(z, out, out=out)    # bitwise z * where(z > 0, 1, LEAKY_SLOPE)
+            out = x.data - mean
+            out /= std
+            out *= gamma.data
+            out += beta.data               # z = (x - mean) / std * gamma + beta
+            np.maximum(out, out * LEAKY_SLOPE, out=out)  # the leaky ReLU, as in train
+            kept = None
 
         def backward(g):
+            if kept is None:  # eval: the forward's operations again
+                xn = x.data - mean
+                xn /= std
+                z = xn * gamma.data
+                z += beta.data
+            else:
+                xn, z = kept
             gz = (z > 0) * (1 - LEAKY_SLOPE)
             gz += LEAKY_SLOPE              # the slope, exactly 1.0 or LEAKY_SLOPE
             gz *= g

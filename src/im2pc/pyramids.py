@@ -87,8 +87,9 @@ def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
                  center_positions: np.ndarray):
     """Neighbor features concatenated with relative position offsets."""
     C = features.shape[1]
-    offsets = positions[idx] - center_positions[:, None, :]        # (M, K, 3)
-    out = np.concatenate([features.data[idx], offsets], axis=2)    # (M, K, C + 3)
+    out = np.empty(idx.shape + (C + 3,))                           # (M, K, C + 3)
+    out[:, :, :C] = features.data[idx]
+    np.subtract(positions[idx], center_positions[:, None, :], out=out[:, :, C:])
 
     def backward(g):
         features._accum(ad.scatter_rows(idx, g[:, :, :C], features.shape[0]))

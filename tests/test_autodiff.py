@@ -32,6 +32,34 @@ class TestForward:
         x = Tensor(np.array([[1.0, 3.0, 3.0]]), requires_grad=True)
         x.max(axis=1).sum().backward()
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
+        # (M, k, C), as a set abstraction pools its groups: the gradient of
+        # each (row, channel) goes to the lowest tied index along the group axis
+        x = np.array([[[1.0, 7.0], [4.0, 7.0], [4.0, 7.0]],
+                      [[2.0, -1.0], [1.0, 0.0], [2.0, 0.0]]])
+        t = Tensor(x, requires_grad=True)
+        out = t.max(axis=1)
+        np.testing.assert_array_equal(out.data, [[4.0, 7.0], [2.0, 0.0]])
+        (out * Tensor([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
+        expected = np.zeros_like(x)
+        expected[0, 1, 0], expected[0, 0, 1] = 1.0, 2.0
+        expected[1, 0, 0], expected[1, 1, 1] = 3.0, 4.0
+        np.testing.assert_array_equal(t.grad, expected)
+
+    def test_maxpool_ties_to_first_in_row_major_order(self):
+        # (2, 4, 2) pooled by (2, 2): each window is tied somewhere
+        x = np.zeros((2, 4, 2))
+        x[:, :2, 0] = 1.0                         # all four equal: (0, 0)
+        x[:, 2:, 0] = [[0.0, 2.0], [0.0, 2.0]]    # column tie: (0, 3)
+        x[:, :2, 1] = [[0.0, 0.0], [3.0, 3.0]]    # row tie: (1, 0)
+        x[:, 2:, 1] = [[5.0, 4.0], [5.0, 5.0]]    # three-way tie: (0, 2)
+        t = Tensor(x, requires_grad=True)
+        out = ad.maxpool2d(t, (2, 2))
+        np.testing.assert_array_equal(out.data, [[[1.0, 3.0], [2.0, 5.0]]])
+        (out * Tensor([[[1.0, 2.0], [3.0, 4.0]]])).sum().backward()
+        expected = np.zeros_like(x)
+        expected[0, 0, 0], expected[0, 3, 0] = 1.0, 3.0
+        expected[1, 0, 1], expected[0, 2, 1] = 2.0, 4.0
+        np.testing.assert_array_equal(t.grad, expected)
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
@@ -152,6 +180,38 @@ class TestGradChecks:
             return (y * y).sum()
 
         check_grad(build, [x, w, b], tol=1e-5)
+
+    @pytest.mark.parametrize("H, W", [(4, 5), (5, 4), (6, 6), (3, 7)])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_conv2d_matches_nine_slice_im2col(self, H, W, cin):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(H, W, cin))
+        w = rng.normal(size=(3, 3, cin, 4))
+        b = rng.normal(size=4)
+        g = rng.normal(size=(H, W, 4))
+        # oracle: im2col from nine shifted slices of the zero-padded input
+        xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+        cols = np.empty((H, W, 3, 3, cin))
+        for i in range(3):
+            for j in range(3):
+                cols[:, :, i, j, :] = xp[i : i + H, j : j + W, :]
+        cols = cols.reshape(H * W, 9 * cin)
+        wm = w.reshape(9 * cin, 4)
+        out = (cols @ wm).reshape(H, W, 4) + b
+        gm = g.reshape(H * W, 4)
+        gcols = (gm @ wm.T).reshape(H, W, 3, 3, cin)
+        gxp = np.zeros_like(xp)
+        for i in range(3):
+            for j in range(3):
+                gxp[i : i + H, j : j + W, :] += gcols[:, :, i, j, :]
+
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        y = ad.conv2d_3x3(tx, tw, tb)
+        np.testing.assert_array_equal(y.data, out)
+        (y * Tensor(g)).sum().backward()
+        assert rel_err(tx.grad, gxp[1 : 1 + H, 1 : 1 + W]) < 1e-12
+        assert rel_err(tw.grad, (cols.T @ gm).reshape(w.shape)) < 1e-12
+        assert rel_err(tb.grad, gm.sum(axis=0)) < 1e-12
 
     def test_maxpool(self):
         rng = np.random.default_rng(10)

@@ -1,7 +1,8 @@
 """The benchmark's traced run wraps program functions where their callers
-look them up (perfbench/workloads.py SPANS). Installing and removing those
-wrappers here makes a renamed or removed entry point fail the test suite,
-not only a traced benchmark run."""
+look them up (perfbench/workloads.py SPANS), and every run checks its poses
+against perfbench/reference.json. Doing both here makes a renamed or removed
+entry point, or an eval output that drifts, fail the test suite, not only a
+benchmark run."""
 
 import os
 
@@ -9,6 +10,7 @@ import pytest
 
 import im2pc.pyramids as P
 import im2pc.sampling as S
+from im2pc.config import desk_config
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -37,3 +39,15 @@ def test_a_missing_entry_point_fails_the_install(bench, monkeypatch):
     monkeypatch.delattr(P, "projection_aware_knn")
     with pytest.raises(workloads.TraceFailure):
         workloads.install(spans.Tracer())
+
+
+@pytest.mark.parametrize("workload, ids", [("infer_desk", (0, 17, 63)), ("infer_dense", (5,))],
+                         ids=["infer_desk", "infer_dense"])
+def test_eval_poses_match_the_benchmark_reference(bench, tmp_path, workload, ids):
+    _, workloads = bench
+    reference = workloads.load_reference()[workload]
+    dirs = workloads.write_scenes(workloads.INFER[workload], ids, str(tmp_path / "scenes"))
+    model, _ = workloads.fresh_model(desk_config(), str(tmp_path / "model.ckpt"))
+    for j, scene_dir in zip(ids, dirs):
+        coarse, fine = workloads.infer_request(model, scene_dir)
+        assert workloads.check_infer(coarse, fine, reference[str(j)]) is None, j

@@ -2,6 +2,7 @@
 invariances, and end-to-end determinism of the two-stage network."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ class TestNetwork:
             assert np.all(np.isfinite(stage.q_t.data))
             assert np.all(np.isfinite(stage.t_t.data))
             assert abs(np.linalg.norm(stage.q_t.data) - 1.0) < 1e-12
+
+    def test_eval_forward_peak_memory(self):
+        # an eval graph keeps only what its backward needs in eval mode: norms
+        # and max reductions recompute theirs, so whole-graph memory stays small
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(10_003, SceneConfig(n_points=512))
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        tracemalloc.start()
+        try:
+            outputs = net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outputs[1].q_t.requires_grad  # the whole graph is still held
+        assert peak < 15e6, f"eval forward peaked at {peak / 1e6:.1f} MB"
 
     def test_gradients_reach_every_parameter(self):
         cfg = desk_config()
