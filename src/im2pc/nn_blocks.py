@@ -6,10 +6,11 @@ are tracked for eval mode. Leaky-ReLU slope is 0.1.
 
 Each layer is one autodiff node with a closed-form backward: Linear, and
 feature-norm fused with its affine and the leaky ReLU that always follows it.
-A node keeps only what its backward needs in its mode: train-mode norms keep
-the normalised input and the pre-activation, eval-mode norms keep the input
-and their statistics and recompute the rest in the backward, with the
-forward's operations, so an inference forward holds one buffer per norm.
+A node keeps only what its backward needs: a norm keeps its input and its
+(C,) statistics, in either mode, and its backward recomputes the normalised
+input with the forward's operations. It reads the leaky ReLU's slope from
+its own output, whose sign is the pre-activation's, so a graph holds one
+buffer per norm.
 
 On narrow (n, C) arrays numpy's axis-0 reductions and large temporaries cost
 more than the arithmetic, so channel sums are `ones @ x` BLAS products (train
@@ -84,8 +85,8 @@ class FeatureNorm(Module):
         # in-place steps keep the large temporaries few; the rounding is that
         # of the plain expressions in the comments
         gamma, beta = self.gamma.tensor, self.beta.tensor
+        flat = x.data.reshape(-1, x.shape[-1])
         if train:
-            flat = x.data.reshape(-1, x.shape[-1])
             n = float(flat.shape[0])
             ones = np.ones(flat.shape[0])  # channel sums as BLAS products
             mu = ones @ flat / n
@@ -94,37 +95,25 @@ class FeatureNorm(Module):
             self.running_mean = (1 - NORM_MOMENTUM) * self.running_mean + NORM_MOMENTUM * mu
             self.running_var = (1 - NORM_MOMENTUM) * self.running_var + NORM_MOMENTUM * var
             std = np.sqrt(var + NORM_EPS)
-            xn = xn.reshape(x.shape)
-            xn /= std
-            z = xn * gamma.data
-            z += beta.data                 # z = xn * gamma + beta
-            out = z * LEAKY_SLOPE
-            np.maximum(z, out, out=out)    # bitwise z * where(z > 0, 1, LEAKY_SLOPE)
-            kept = (xn, z)
+            out = xn                       # z, then the output, in xn's buffer
         else:
-            # one buffer: the backward recomputes xn and z from x
-            mean = self.running_mean
+            mu = self.running_mean
             std = np.sqrt(self.running_var + NORM_EPS)
-            out = x.data - mean
-            out /= std
-            out *= gamma.data
-            out += beta.data               # z = (x - mean) / std * gamma + beta
-            np.maximum(out, out * LEAKY_SLOPE, out=out)  # the leaky ReLU, as in train
-            kept = None
+            out = flat - mu
+        out /= std
+        out *= gamma.data
+        out += beta.data                   # z = (x - mu) / std * gamma + beta
+        np.maximum(out, out * LEAKY_SLOPE, out=out)  # bitwise z * where(z > 0, 1, LEAKY_SLOPE)
+        out = out.reshape(x.shape)
 
         def backward(g):
-            if kept is None:  # eval: the forward's operations again
-                xn = x.data - mean
-                xn /= std
-                z = xn * gamma.data
-                z += beta.data
-            else:
-                xn, z = kept
-            gz = (z > 0) * (1 - LEAKY_SLOPE)
+            xnf = x.data.reshape(-1, g.shape[-1]) - mu  # the forward's operations again
+            xnf /= std
+            # max(z, z * LEAKY_SLOPE) > 0 exactly where z > 0, for every float
+            gz = (out > 0) * (1 - LEAKY_SLOPE)
             gz += LEAKY_SLOPE              # the slope, exactly 1.0 or LEAKY_SLOPE
             gz *= g
-            gz = gz.reshape(-1, g.shape[-1])
-            xnf = xn.reshape(gz.shape)
+            gz = gz.reshape(xnf.shape)
             ones = np.ones(gz.shape[0])
             sum_gz = ones @ gz            # beta's gradient
             sum_gzx = ones @ (gz * xnf)   # gamma's gradient

@@ -61,6 +61,19 @@ class TestForward:
         expected[1, 0, 1], expected[0, 2, 1] = 2.0, 4.0
         np.testing.assert_array_equal(t.grad, expected)
 
+    @pytest.mark.parametrize("shape,stride", [((8, 12, 3), (2, 2)), ((8, 12, 3), (2, 4)),
+                                              ((6, 6, 5), (3, 2)), ((4, 8, 2), (4, 4))])
+    def test_maxpool_matches_window_max(self, shape, stride):
+        # the running maximum over the taps is bitwise the 5-D view's max,
+        # NaN, infinities, subnormals and signed zeros included
+        rng = np.random.default_rng(24)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+        (H, W, C), (sh, sw) = shape, stride
+        for x in (rng.normal(size=shape), rng.choice(special, size=shape),
+                  rng.choice(special[:2], size=shape)):
+            want = x.reshape(H // sh, sh, W // sw, sw, C).max(axis=(1, 3))
+            assert ad.maxpool2d(Tensor(x), stride).data.tobytes() == want.tobytes()
+
     def test_determinism(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(5, 5))
@@ -289,6 +302,29 @@ class TestAccumFanOut:
             np.testing.assert_array_equal(g, w)
         if got[1] is not None:
             assert not np.shares_memory(got[0], got[1])
+
+    @pytest.mark.parametrize("build", [fan_out_x_plus_x, fan_out_reused_summand,
+                                       fan_out_parameter_in_loss])
+    def test_backward_keeps_only_leaf_gradients(self, build):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        p = Tensor(np.array(0.3), requires_grad=True)
+        loss = build(x, p)
+        nodes, todo = {}, [loss]
+        while todo:
+            node = todo.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                todo.extend(node._parents)
+        inner = [n for n in nodes.values() if n._backward is not None]
+        leaves = [n for n in nodes.values() if n._backward is None and n.requires_grad]
+        assert loss in inner and x in leaves
+        loss.backward()
+        # a node's gradient is dropped once its backward ran; leaves keep theirs
+        assert all(n.grad is None for n in inner)
+        assert all(type(n.grad) is np.ndarray for n in leaves)
+        with pytest.raises(GraphConsumed):
+            loss.backward()
 
     def test_add_hands_each_parent_its_own_array(self):
         a = Tensor(np.ones(3), requires_grad=True)

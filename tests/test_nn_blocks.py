@@ -64,6 +64,14 @@ class TestFeatureNorm:
         # input equals the long-run mean, so the normalized value is near 0
         assert np.all(np.abs(y.data) < 0.2)
 
+    def test_output_sign_is_the_pre_activation_sign(self):
+        # the backward reads the slope mask from max(z, z * slope) > 0; it must
+        # equal z > 0 for every float, where slope * z rounds to zero included
+        z = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320,
+                      np.inf, -np.inf, np.nan, 1.0, -1.0])
+        out = np.maximum(z, z * nn.LEAKY_SLOPE)
+        np.testing.assert_array_equal(out > 0, z > 0)
+
     def test_eval_is_elementwise(self):
         norm = nn.FeatureNorm("n", 3)
         a = np.random.default_rng(5).normal(size=(6, 3))

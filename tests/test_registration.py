@@ -188,6 +188,24 @@ class TestNetwork:
         assert outputs[1].q_t.requires_grad  # the whole graph is still held
         assert peak < 15e6, f"eval forward peaked at {peak / 1e6:.1f} MB"
 
+    def test_train_step_peak_memory(self):
+        # a train graph holds each activation once (norms and convolutions
+        # keep only their inputs), and backward frees each node once it ran
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(10_003, SceneConfig(n_points=512))
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        lp = LossParams()
+        tracemalloc.start()
+        try:
+            coarse, fine = net(scene.cloud, scene.image, scene.K, train=True,
+                               rng=np.random.default_rng(0), geometry=geo)
+            total_loss(coarse, fine, scene.gt_pose.inverse(), lp).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.tensor.grad is not None for p in net.named_parameters())
+        assert peak < 16e6, f"train step peaked at {peak / 1e6:.1f} MB"
+
     def test_gradients_reach_every_parameter(self):
         cfg = desk_config()
         net = R.RegistrationNet(cfg, seed=1)
