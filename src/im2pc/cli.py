@@ -62,9 +62,8 @@ def _print_epoch(epoch, loss, rre, rte):
 def cmd_train(args):
     cfg = TrainConfig()
     if args.config:
-        kv = parse_kv_file(args.config)
-        try:
-            cfg = apply_overrides(cfg, kv)
+        try:  # UnicodeDecodeError is a ValueError
+            cfg = apply_overrides(cfg, parse_kv_file(args.config))
         except (KeyError, ValueError) as e:
             raise MalformedFile(f"{args.config}: bad training config: {e}") from e
     scenes = [read_scene(d) for d in _scene_dirs(args.data)]
@@ -166,15 +165,21 @@ def cmd_bench_knn(args):
     return 0
 
 
-def positive_int(text):
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type of an integer of at least `low`, named `what` when refused."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not a {what}")
+        return value
+    return parse
+
+
+positive_int = _int_at_least(1, "positive count")
+seed_int = _int_at_least(0, "non-negative seed")  # np.random.default_rng refuses negatives
 
 
 def build_parser():
@@ -184,7 +189,7 @@ def build_parser():
     g = sub.add_parser("gen", help="generate synthetic scenes")
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=positive_int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed_int, default=0)
     g.add_argument("--mode", choices=("large", "coarse", "decalib"), default="coarse")
     g.add_argument("--points", type=positive_int, default=512)
     g.set_defaults(fn=cmd_gen)
@@ -212,7 +217,7 @@ def build_parser():
     b.add_argument("--n", type=positive_int, default=2000)
     b.add_argument("--trials", type=positive_int, default=3)
     b.add_argument("--k", type=positive_int, default=16)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=seed_int, default=0)
     b.set_defaults(fn=cmd_bench_knn)
     return p
 

@@ -63,7 +63,7 @@ class TrainConfig:
 def parse_kv_file(path) -> dict:
     """Flat key=value config text; '#' starts a comment."""
     out = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -123,7 +123,6 @@ class CostVolumeModule(Module):
                                  lst_dims, rng, final_linear=True)
         if sal_dims[-1] != ic_dims[-1] or lst_dims[-1] != ic_dims[-1]:
             raise ValueError("salience/LST weight widths must match the IC width")
-        self.out_dim = ic_dims[-1]
 
     # -- fixed searches -----------------------------------------------------
 

@@ -98,15 +98,16 @@ def synth_scene(seed: int, cfg: SceneConfig) -> Scene:
     y = (v - K.cy) / K.fy * z
     cam_points = np.stack([x, y, z], axis=1)
     colors = _point_colors(cam_points)
-    # render with a 1-pixel splat and a nearest-wins z-buffer
+    # render with a 1-pixel splat and a nearest-wins z-buffer: a stable sort
+    # by pixel, then depth, puts each pixel's nearest point first, and the
+    # lowest index among equal depths
     image = rng.random((H, W, 3))           # unsplatted pixels get seeded noise
-    zbuf = np.full((H, W), np.inf)
-    ui = np.clip(u.astype(int), 0, W - 1)
-    vi = np.clip(v.astype(int), 0, H - 1)
-    for i in range(cfg.n_points):
-        if z[i] < zbuf[vi[i], ui[i]]:
-            zbuf[vi[i], ui[i]] = z[i]
-            image[vi[i], ui[i]] = colors[i]
+    pixel = np.clip(v.astype(int), 0, H - 1) * W + np.clip(u.astype(int), 0, W - 1)
+    order = np.lexsort((z, pixel))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pixel[order[1:]] != pixel[order[:-1]]
+    win = order[first]
+    image.reshape(H * W, 3)[pixel[win]] = colors[win]
     spec = PerturbSpec(cfg.rot_range, cfg.transl_range, cfg.mode)
     target = sample_perturbation(spec, rng)   # map -> camera, the net's target
     gt_pose = target.inverse()                # camera pose in the map frame

@@ -4,8 +4,10 @@ Normalization is "feature-norm": statistics over the element axis (points,
 or spatial positions for images), so batch size 1 works. Running statistics
 are tracked for eval mode. Leaky-ReLU slope is 0.1.
 
-Each layer is one autodiff node with a closed-form backward: Linear, and
-feature-norm fused with its affine and the leaky ReLU that always follows it.
+A layer's Parameters are leaf Tensors. Each layer is one autodiff node with
+a closed-form backward, whose parents are its input and its Parameters:
+Linear, and feature-norm fused with its affine and the leaky ReLU that
+always follows it.
 A node keeps only what its backward needs: a norm keeps its input and its
 (C,) statistics, in either mode, and its backward recomputes the normalised
 input with the forward's operations. It reads the leaky ReLU's slope from
@@ -49,7 +51,7 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeMismatch(x.shape, (self.in_dim,), "linear input")
-        w, b = self.weight.tensor, self.bias.tensor
+        w, b = self.weight, self.bias
         out = x.data @ w.data
         out += b.data
 
@@ -84,7 +86,7 @@ class FeatureNorm(Module):
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         # in-place steps keep the large temporaries few; the rounding is that
         # of the plain expressions in the comments
-        gamma, beta = self.gamma.tensor, self.beta.tensor
+        gamma, beta = self.gamma, self.beta
         flat = x.data.reshape(-1, x.shape[-1])
         if train:
             n = float(flat.shape[0])
@@ -139,7 +141,6 @@ class SharedMlp(Module):
     """
 
     def __init__(self, name, in_dim, dims, rng, final_linear=False):
-        self.final_linear = final_linear
         self.layers = []
         self.norms = []
         d = in_dim
@@ -149,7 +150,6 @@ class SharedMlp(Module):
             if not (final_linear and last):
                 self.norms.append(FeatureNorm(f"{name}.norm{i}", out))
             d = out
-        self.out_dim = d
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         for i, lin in enumerate(self.layers):
@@ -171,6 +171,6 @@ class ConvBlock(Module):
         self.norm = FeatureNorm(f"{name}.norm", out_ch)
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        x = ad.conv2d_3x3(x, self.weight.tensor, self.bias.tensor)
+        x = ad.conv2d_3x3(x, self.weight, self.bias)
         x = self.norm(x, train)
         return ad.maxpool2d(x, self.stride)

@@ -1,5 +1,8 @@
 """Named trainable parameters and the flat binary checkpoint format.
 
+A Parameter is a leaf Tensor that carries its dotted name: layers compute
+with it directly, and backward() leaves its gradient in `.grad`.
+
 Checkpoint layout (little-endian):
     magic   4 bytes  b"IPCK"
     version 1 byte   (currently 1)
@@ -22,23 +25,14 @@ MAGIC = b"IPCK"
 VERSION = 1
 
 
-class Parameter:
-    """A trainable tensor with a unique dotted name."""
+class Parameter(Tensor):
+    """A trainable leaf tensor with a unique dotted name."""
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self):
-        self.tensor.grad = None
 
 
 class Module:
@@ -131,7 +125,7 @@ def restore(params: list[Parameter], state: dict[str, np.ndarray]):
             raise MalformedFile(f"checkpoint missing parameter {p.name}")
         if state[p.name].shape != p.data.shape:
             raise MalformedFile(f"shape mismatch for {p.name}")
-        p.tensor.data = state[p.name].copy()
+        p.data = state[p.name].copy()
 
 
 def restore_buffers(buffers, state: dict[str, np.ndarray]):

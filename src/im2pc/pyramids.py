@@ -1,5 +1,10 @@
 """Hierarchical feature extraction: image pyramid, point pyramid with set
-abstraction, context gathering, and the coarse-to-fine upsampling layers."""
+abstraction, context gathering, and the coarse-to-fine upsampling layers.
+
+The point-side sampling and searches depend on the points alone, so the
+layers here learn only: `sample_levels` finds every point level's centers
+and groups once per scene, and the layers take the neighbour rows they
+group over as an argument."""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from .errors import EmptyLevel, IndexMismatch, ShapeMismatch
 from .geometry import CameraIntrinsics, SphericalConfig
 from .nn_blocks import ConvBlock, Linear, SharedMlp
 from .params import Module
-from .sampling import GroupingSpec, PointCloud, cell_sample, projection_aware_knn
+from .sampling import PointCloud, cell_sample, projection_aware_knn
 
 
 @dataclass
@@ -101,27 +106,37 @@ def gather_group(features: Tensor, positions: np.ndarray, idx: np.ndarray,
 class LevelGeometry:
     """One point level's fixed sampling and grouping."""
     centers: PointCloud       # the level's points; their features are placeholders
-    centers_idx: np.ndarray   # (M,) their rows in the level below
     idx: np.ndarray           # (M, k) each center's neighbour rows in the level below
+
+
+def sample_levels(cloud: PointCloud, specs, cfg: SphericalConfig) -> list:
+    """Every point level's LevelGeometry, from the input cloud alone: per
+    GroupingSpec, the centers cell_sample keeps and their projection-aware
+    KNN groups in the level below."""
+    out = []
+    cum_h, cum_w = 1, 1
+    for spec in specs:
+        # spherical coordinates stay in level-0 cells, so cell quantization
+        # needs the product of the strides applied so far
+        sh, sw = spec.strides
+        cum_h *= sh
+        cum_w *= sw
+        centers_idx = cell_sample(cloud, (cum_h, cum_w))
+        if centers_idx.size == 0:
+            raise EmptyLevel(f"stride sampling left no points at level {cloud.level + 1}")
+        centers = PointCloud(cloud.positions[centers_idx], np.zeros((centers_idx.size, 1)),
+                             spherical=cloud.spherical[centers_idx], level=cloud.level + 1)
+        idx, _mask = projection_aware_knn(centers, cloud, spec, cfg)
+        out.append(LevelGeometry(centers, idx))
+        cloud = centers
+    return out
 
 
 class SetAbstraction(Module):
     """Group -> shared MLP -> per-group max-pool (one pyramid level)."""
 
-    def __init__(self, name, in_dim, dims, spec: GroupingSpec, rng):
-        self.spec = spec
+    def __init__(self, name, in_dim, dims, rng):
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
-
-    def sample(self, cloud: PointCloud, cfg: SphericalConfig, strides: tuple) -> LevelGeometry:
-        """Centers by cell_sample with the level-0 cell `strides`, and their
-        projection-aware KNN groups in `cloud`."""
-        centers_idx = cell_sample(cloud, strides)
-        if centers_idx.size == 0:
-            raise EmptyLevel(f"stride sampling left no points at level {cloud.level + 1}")
-        centers = PointCloud(cloud.positions[centers_idx], np.zeros((centers_idx.size, 1)),
-                             spherical=cloud.spherical[centers_idx], level=cloud.level + 1)
-        idx, _mask = projection_aware_knn(centers, cloud, self.spec, cfg)
-        return LevelGeometry(centers, centers_idx, idx)
 
     def __call__(self, cloud: PointCloud, geo: LevelGeometry, train: bool) -> PointCloud:
         centers = geo.centers
@@ -132,26 +147,12 @@ class SetAbstraction(Module):
 
 
 class PointPyramid(Module):
-    def __init__(self, name, in_dim, level_dims, level_specs, rng):
+    def __init__(self, name, in_dim, level_dims, rng):
         self.levels = []
         d = in_dim
-        for li, (dims, spec) in enumerate(zip(level_dims, level_specs)):
-            self.levels.append(SetAbstraction(f"{name}.l{li + 1}", d, dims, spec, rng))
+        for li, dims in enumerate(level_dims):
+            self.levels.append(SetAbstraction(f"{name}.l{li + 1}", d, dims, rng))
             d = dims[-1]
-
-    def sample(self, cloud: PointCloud, cfg: SphericalConfig) -> list:
-        """Every level's LevelGeometry, from the input cloud alone."""
-        out = []
-        cum_h, cum_w = 1, 1
-        for level in self.levels:
-            # spherical coordinates stay in level-0 cells, so cell
-            # quantization needs the product of the strides applied so far
-            sh, sw = level.spec.strides
-            cum_h *= sh
-            cum_w *= sw
-            out.append(level.sample(cloud, cfg, strides=(cum_h, cum_w)))
-            cloud = out[-1].centers
-        return out
 
     def __call__(self, cloud: PointCloud, geometry: list, train: bool):
         out = [cloud]
@@ -163,13 +164,8 @@ class PointPyramid(Module):
 class ContextGather(Module):
     """Set abstraction over the coarse cost volumes, centers kept in place."""
 
-    def __init__(self, name, in_dim, dims, spec: GroupingSpec, rng):
-        self.spec = spec
+    def __init__(self, name, in_dim, dims, rng):
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
-
-    def group(self, cloud: PointCloud, cfg: SphericalConfig) -> np.ndarray:
-        """(N, k) neighbour rows of every point of `cloud` in itself."""
-        return projection_aware_knn(cloud, cloud, self.spec, cfg)[0]
 
     def __call__(self, cv: Tensor, cloud: PointCloud, idx: np.ndarray, train: bool):
         if cv.shape[0] != cloud.count or idx.shape[0] != cloud.count:
@@ -183,16 +179,9 @@ class Upsample(Module):
     """Propagate coarse per-point vectors to the fine level:
     FC(f_fine (+) MaxPool(MLP({coarse (+) offset})))."""
 
-    def __init__(self, name, coarse_dim, fine_dim, mlp_dims, out_dim,
-                 spec: GroupingSpec, rng):
-        self.spec = spec
+    def __init__(self, name, coarse_dim, fine_dim, mlp_dims, out_dim, rng):
         self.mlp = SharedMlp(f"{name}.mlp", coarse_dim + 3, mlp_dims, rng)
         self.fc = Linear(f"{name}.fc", fine_dim + mlp_dims[-1], out_dim, rng)
-
-    def group(self, fine_cloud: PointCloud, coarse_cloud: PointCloud,
-              cfg: SphericalConfig) -> np.ndarray:
-        """(N_fine, k) coarse neighbour rows of every fine point."""
-        return projection_aware_knn(fine_cloud, coarse_cloud, self.spec, cfg)[0]
 
     def __call__(self, coarse_vals: Tensor, coarse_cloud: PointCloud,
                  fine_cloud: PointCloud, fine_feats: Tensor, idx: np.ndarray,

@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from . import pyramids
 from .autodiff import Tensor
 from .config import ModelConfig
 from .cost_volume import CostVolumeModule, MixtureSpec, StageNeighbours, normalized_pixels
@@ -96,9 +97,9 @@ class PoseRegressor(Module):
         self.t_head = Linear(f"{name}.t", middle_dim, 3, rng)
         # start at the identity pose: small head weights, identity quaternion
         # bias, so the fine stage begins as a no-op refinement
-        self.q_head.weight.tensor.data *= 0.01
-        self.t_head.weight.tensor.data *= 0.01
-        self.q_head.bias.tensor.data[...] = np.array([1.0, 0.0, 0.0, 0.0])
+        self.q_head.weight.data *= 0.01
+        self.t_head.weight.data *= 0.01
+        self.q_head.bias.data[...] = np.array([1.0, 0.0, 0.0, 0.0])
 
     def __call__(self, cv: Tensor, mask_logits: Tensor, dropout_p: float,
                  train: bool, rng: Optional[np.random.Generator]):
@@ -122,21 +123,20 @@ class RegistrationNet(Module):
         rng = np.random.default_rng(seed)
         self.image_pyramid = ImagePyramid("img", IMAGE_CHANNELS, IMAGE_WIDTHS,
                                           cfg.image_strides, rng)
-        self.point_pyramid = PointPyramid("pts", POINT_FEATURES, POINT_WIDTHS,
-                                          POINT_GROUPINGS, rng)
+        self.point_pyramid = PointPyramid("pts", POINT_FEATURES, POINT_WIDTHS, rng)
         img_dim = IMAGE_WIDTHS[2][-1]
         f3_dim, f4_dim = POINT_WIDTHS[2][-1], POINT_WIDTHS[3][-1]
         width = HIDDEN[-1]
         self.cv_coarse = CostVolumeModule("coarse.cv", f4_dim, img_dim, MIXTURE, HIDDEN,
                                           HIDDEN, POS_DIM, HIDDEN, rng)
-        self.context = ContextGather("coarse.ctx", width, HIDDEN, NEIGHBOURHOOD, rng)
+        self.context = ContextGather("coarse.ctx", width, HIDDEN, rng)
         self.mask_coarse = SharedMlp("coarse.mask", width + f4_dim, HIDDEN, rng,
                                      final_linear=True)
         self.regress_coarse = PoseRegressor("coarse.pose", width, MIDDLE_DIM, rng)
         self.cv_fine = CostVolumeModule("fine.cv", f3_dim, img_dim, MIXTURE, HIDDEN,
                                         HIDDEN, POS_DIM, HIDDEN, rng)
-        self.up_e = Upsample("fine.up_e", width, f3_dim, HIDDEN, width, NEIGHBOURHOOD, rng)
-        self.up_m = Upsample("fine.up_m", width, f3_dim, HIDDEN, width, NEIGHBOURHOOD, rng)
+        self.up_e = Upsample("fine.up_e", width, f3_dim, HIDDEN, width, rng)
+        self.up_m = Upsample("fine.up_m", width, f3_dim, HIDDEN, width, rng)
         self.oe_mlp = SharedMlp("fine.oe", 2 * width + f3_dim, HIDDEN, rng)
         self.mask_fine = SharedMlp("fine.mask", 2 * width + f3_dim, HIDDEN, rng,
                                    final_linear=True)
@@ -149,15 +149,16 @@ class RegistrationNet(Module):
         spherical coordinates the cloud carries are ignored."""
         sph = spherical_project_many(cloud.positions, SPHERICAL)
         base = PointCloud(cloud.positions, cloud.features, spherical=sph, level=cloud.level)
-        levels = self.point_pyramid.sample(base, SPHERICAL)
+        levels = pyramids.sample_levels(base, POINT_GROUPINGS, SPHERICAL)
         cloud3, cloud4 = levels[2].centers, levels[3].centers
         grid = self.image_pyramid.level_grids(image.shape[0], image.shape[1])[2]
         coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical,
                                            normalized_pixels(grid, K), SPHERICAL)
-        # up_e and up_m are built from one spec, so they share one search
+        # searched by pyramids' name, as the levels are; up_e and up_m share one
+        context = pyramids.projection_aware_knn(cloud4, cloud4, NEIGHBOURHOOD, SPHERICAL)[0]
+        upsample = pyramids.projection_aware_knn(cloud3, cloud4, NEIGHBOURHOOD, SPHERICAL)[0]
         return SceneGeometry(cloud.positions, tuple(image.shape[:2]), K, levels,
-                             self.context.group(cloud4, SPHERICAL),
-                             self.up_e.group(cloud3, cloud4, SPHERICAL), coarse)
+                             context, upsample, coarse)
 
     def extract(self, cloud: PointCloud, image, K: CameraIntrinsics,
                 geometry: SceneGeometry, train: bool):

@@ -26,7 +26,7 @@ def single_loss(q: Tensor, t: Tensor, gt: PoseQT, lp: LossParams) -> Tensor:
     """|q_gt - q|_2 * exp(-s_q) + s_q + |t_gt - t|_1 * exp(-s_t) + s_t."""
     dq = (q - Tensor(gt.q)).norm_l2()
     dt = (t - Tensor(gt.t)).norm_l1()
-    sq, st = lp.s_q.tensor, lp.s_t.tensor
+    sq, st = lp.s_q, lp.s_t
     return dq * (-sq).exp() + sq + dt * (-st).exp() + st
 
 
@@ -58,11 +58,11 @@ class Adam:
             self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
             m_hat = self.m[i] / (1 - self.b1**self.t)
             v_hat = self.v[i] / (1 - self.b2**self.t)
-            p.tensor.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self):
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float):
@@ -75,7 +75,7 @@ def clip_grad_norm(params: list[Parameter], max_norm: float):
         scale = max_norm / total
         for p in params:
             if p.grad is not None:
-                p.tensor.grad = p.grad * scale
+                p.grad = p.grad * scale
     return total
 
 

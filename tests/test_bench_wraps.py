@@ -1,8 +1,8 @@
 """The benchmark's traced run wraps program functions where their callers
 look them up (perfbench/workloads.py SPANS), and every run checks its poses
-against perfbench/reference.json. Doing both here makes a renamed or removed
-entry point, or an eval output that drifts, fail the test suite, not only a
-benchmark run."""
+and training losses against perfbench/reference.json. Doing both here makes
+a renamed or removed entry point, or an eval or training output that drifts,
+fail the test suite, not only a benchmark run."""
 
 import os
 
@@ -51,3 +51,13 @@ def test_eval_poses_match_the_benchmark_reference(bench, tmp_path, workload, ids
     for j, scene_dir in zip(ids, dirs):
         coarse, fine = workloads.infer_request(model, scene_dir)
         assert workloads.check_infer(coarse, fine, reference[str(j)]) is None, j
+
+
+def test_training_matches_the_benchmark_reference(bench, tmp_path):
+    # one 25-step train() call: the train forward, backward, loss, Adam and
+    # the holdout evaluation, against the per-epoch losses and holdout rows
+    _, workloads = bench
+    st = workloads.setup_train(3, str(tmp_path), workloads.load_reference())
+    log = []
+    _, rows = workloads.train_call(st, log)
+    assert workloads.check_train(log, rows, st.ref) == []

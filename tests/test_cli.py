@@ -219,7 +219,7 @@ def test_bad_scene_meta_exit_3(trained, tmp_path, capsys, case, cmd):
     assert "data error" in err and "meta.txt" in err
 
 
-BAD_TRAIN_CONFIGS = {  # case: config text
+BAD_TRAIN_CONFIGS = {  # case: config text, or raw bytes
     "epochs_not_a_number": "epochs=abc\n",
     "unknown_key": "nosuchkey=1\n",
     "lr_decay_above_one": "lr_decay=2\n",
@@ -243,6 +243,7 @@ BAD_TRAIN_CONFIGS = {  # case: config text
     "alpha4_nan": "alpha4=nan\n",
     "alpha4_inf": "alpha4=inf\n",
     "alphas_both_zero": "alpha3=0\nalpha4=0\n",
+    "not_utf8": b"epochs=1\n\xff\xfe=3\n",
 }
 
 
@@ -250,7 +251,8 @@ BAD_TRAIN_CONFIGS = {  # case: config text
 def test_bad_train_config_exit_3(trained, tmp_path, capsys, case):
     data, _, _ = trained
     cfg = tmp_path / "train.cfg"
-    cfg.write_text(BAD_TRAIN_CONFIGS[case])
+    text = BAD_TRAIN_CONFIGS[case]
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     ckpt = tmp_path / "m.ckpt"
     code, out, err = run(capsys, "train", "--data", data, "--config", str(cfg),
                          "--out", str(ckpt))
@@ -281,12 +283,25 @@ def test_non_finite_holdout_exit_4(trained, tmp_path, capsys, monkeypatch):
     ["bench-knn", "--trials", "0"],
 ])
 def test_non_positive_counts_exit_2(tmp_path, capsys, argv):
+    assert "positive count" in usage_error(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "OUT", "--n", "2", "--seed", "-1"],
+    ["bench-knn", "--seed", "-3"],
+])
+def test_negative_seeds_exit_2(tmp_path, capsys, argv):
+    assert "non-negative seed" in usage_error(tmp_path, capsys, argv)
+
+
+def usage_error(tmp_path, capsys, argv):
+    """stderr of an argv that must exit 2 before `gen` writes anything."""
     out_dir = tmp_path / "gen"
     with pytest.raises(SystemExit) as e:
         main([str(out_dir) if a == "OUT" else a for a in argv])
     assert e.value.code == 2
     assert not out_dir.exists()
-    assert "positive count" in capsys.readouterr().err
+    return capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -92,6 +92,32 @@ class TestSynthScene:
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.gt_pose.q, b.gt_pose.q)
 
+    @pytest.mark.parametrize("cfg", [
+        D.SceneConfig(n_points=64, height=4, width=6),
+        D.SceneConfig(n_points=64, height=4, width=6, depth_range=(3.0, 3.0)),
+        D.SceneConfig(n_points=512),
+        D.SceneConfig(n_points=1),
+    ], ids=["crowded", "equal_depths", "desk", "one_point"])
+    def test_image_matches_the_z_buffer_loop(self, cfg):
+        for seed in range(20):
+            # synth_scene's draws and colours, then a per-point z-buffer
+            rng = np.random.default_rng(seed)
+            H, W, K = cfg.height, cfg.width, cfg.intrinsics()
+            u = rng.uniform(0, W, cfg.n_points)
+            v = rng.uniform(0, H, cfg.n_points)
+            z = rng.uniform(*cfg.depth_range, cfg.n_points)
+            colors = D._point_colors(np.stack(
+                [(u - K.cx) / K.fx * z, (v - K.cy) / K.fy * z, z], axis=1))
+            image = rng.random((H, W, 3))
+            zbuf = np.full((H, W), np.inf)
+            ui = np.clip(u.astype(int), 0, W - 1)
+            vi = np.clip(v.astype(int), 0, H - 1)
+            for i in range(cfg.n_points):  # the nearest wins, then the lowest index
+                if z[i] < zbuf[vi[i], ui[i]]:
+                    zbuf[vi[i], ui[i]] = z[i]
+                    image[vi[i], ui[i]] = colors[i]
+            np.testing.assert_array_equal(D.synth_scene(seed, cfg).image, image)
+
     def test_decalib_mode_records_noise(self):
         scene = D.synth_scene(8, D.SceneConfig(n_points=32, mode="decalib"))
         assert scene.meta["noise"] > 0.0

@@ -39,7 +39,7 @@ class TestLinear:
         assert rel_err(t.grad, num) < 1e-6
         w = lin.weight.data
         num_w = finite_diff(lambda: loss_of_w(w), w)
-        assert rel_err(lin.weight.tensor.grad, num_w) < 1e-6
+        assert rel_err(lin.weight.grad, num_w) < 1e-6
 
 
 def undo_leaky(y):
@@ -98,7 +98,7 @@ def matmul(a, b):
 
 
 def composed_linear(lin, x):
-    return matmul(x, lin.weight.tensor) + lin.bias.tensor
+    return matmul(x, lin.weight) + lin.bias
 
 
 def composed_norm_act(norm, x, train):
@@ -117,7 +117,7 @@ def composed_norm_act(norm, x, train):
         xn = xn.reshape(*x.shape)
     else:
         xn = (x - Tensor(norm.running_mean)) / Tensor(np.sqrt(norm.running_var + nn.NORM_EPS))
-    y = xn * norm.gamma.tensor + norm.beta.tensor
+    y = xn * norm.gamma + norm.beta
     return y * Tensor(np.where(y.data > 0, 1.0, nn.LEAKY_SLOPE))
 
 
@@ -125,12 +125,12 @@ def make_layer(seed, cin=5, cout=4):
     """A Linear + FeatureNorm pair with non-trivial parameters and buffers."""
     rng = np.random.default_rng(seed)
     lin = nn.Linear("l", cin, cout, rng)
-    lin.bias.tensor.data[...] = rng.normal(size=cout)
+    lin.bias.data[...] = rng.normal(size=cout)
     norm = nn.FeatureNorm("n", cout)
-    norm.gamma.tensor.data[...] = rng.normal(size=cout)
-    norm.beta.tensor.data[...] = rng.normal(size=cout)
+    norm.gamma.data[...] = rng.normal(size=cout)
+    norm.beta.data[...] = rng.normal(size=cout)
     # channel 0 outputs exact zeros, where the leaky ReLU's slope applies
-    norm.gamma.tensor.data[0] = norm.beta.tensor.data[0] = 0.0
+    norm.gamma.data[0] = norm.beta.data[0] = 0.0
     norm.running_mean = rng.normal(size=cout)
     norm.running_var = rng.uniform(0.5, 2.0, size=cout)
     return lin, norm
@@ -139,7 +139,7 @@ def make_layer(seed, cin=5, cout=4):
 def run_layer(layer_fn, lin, norm, x, weights, train):
     """Forward and backward of one layer; returns output and every gradient."""
     for p in lin.named_parameters() + norm.named_parameters():
-        p.zero_grad()
+        p.grad = None
     t = Tensor(x, requires_grad=True)
     out = layer_fn(lin, norm, t, train)
     (out * Tensor(weights)).sum().backward()
@@ -187,7 +187,7 @@ class TestFusedLayers:
         t = Tensor(x, requires_grad=True)
         (lin(t) * Tensor([1.0, -2.0, 0.5])).sum().backward()
         gx, gw = t.grad, lin.weight.grad.copy()
-        lin.weight.zero_grad()
+        lin.weight.grad = None
         t = Tensor(x, requires_grad=True)
         (composed_linear(lin, t) * Tensor([1.0, -2.0, 0.5])).sum().backward()
         assert rel_err(gx, t.grad) < 1e-12
@@ -198,8 +198,8 @@ class TestFusedLayers:
         rng = np.random.default_rng(23)
         mlp = nn.SharedMlp("m", 3, (4, 3, 2), rng, final_linear=True)
         for norm in mlp.norms:
-            norm.gamma.tensor.data[...] = rng.normal(size=norm.gamma.data.shape)
-            norm.beta.tensor.data[...] = rng.normal(size=norm.beta.data.shape)
+            norm.gamma.data[...] = rng.normal(size=norm.gamma.shape)
+            norm.beta.data[...] = rng.normal(size=norm.beta.shape)
         x = rng.normal(size=shape)
         weights = rng.normal(size=shape[:-1] + (2,))
 
@@ -257,7 +257,6 @@ class TestSharedMlp:
 
     def test_out_dim(self):
         mlp = nn.SharedMlp("m", 3, (4, 7), np.random.default_rng(8))
-        assert mlp.out_dim == 7
         assert mlp(Tensor(np.zeros((2, 3))), train=False).shape == (2, 7)
 
 

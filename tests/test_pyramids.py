@@ -6,7 +6,7 @@ import pytest
 import im2pc.pyramids as P
 from im2pc import autodiff as ad
 from im2pc.autodiff import Tensor
-from im2pc.errors import IndexMismatch
+from im2pc.errors import EmptyLevel, IndexMismatch
 from im2pc.geometry import CameraIntrinsics, SphericalConfig, spherical_project_many
 from im2pc.sampling import GroupingSpec, PointCloud
 from util import finite_diff, rel_err
@@ -65,30 +65,29 @@ class TestSetAbstraction:
     def test_stride_path_counts_and_level(self):
         rng = np.random.default_rng(2)
         cloud = make_cloud(rng, 200)
-        sa = P.SetAbstraction("sa", 4, (8, 8), GroupingSpec(4, (3, 5), 5.0, (2, 2)), rng)
-        geo = sa.sample(cloud, CFG, strides=(2, 2))
-        centers_idx, idx = geo.centers_idx, geo.idx
+        sa = P.SetAbstraction("sa", 4, (8, 8), rng)
+        (geo,) = P.sample_levels(cloud, [GroupingSpec(4, (3, 5), 5.0, (2, 2))], CFG)
         out = sa(cloud, geo, train=False)
         assert out.level == 1
-        assert out.count == centers_idx.size
+        assert out.count == geo.centers.count
         assert out.features.shape == (out.count, 8)
         # one center per occupied 2x2 cell: the first point in scan order
         u, v = cloud.spherical[:, 0], cloud.spherical[:, 1]
         cells = {}
         for i in range(cloud.count):
             cells.setdefault((u[i] // 2, v[i] // 2), i)
-        assert sorted(centers_idx) == sorted(cells.values())
-        assert idx.shape == (out.count, 4)
+        assert sorted(map(tuple, out.positions)) == \
+            sorted(map(tuple, cloud.positions[list(cells.values())]))
+        assert geo.idx.shape == (out.count, 4)
 
     def test_pooled_feature_is_group_max(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, 30)
-        sa = P.SetAbstraction("sa", 4, (6,), GroupingSpec(5, (33, 129), 1e6, (1, 1)), rng)
-        geo = sa.sample(cloud, CFG, strides=(1, 1))
-        centers_idx, idx = geo.centers_idx, geo.idx
+        sa = P.SetAbstraction("sa", 4, (6,), rng)
+        (geo,) = P.sample_levels(cloud, [GroupingSpec(5, (33, 129), 1e6, (1, 1))], CFG)
         out = sa(cloud, geo, train=False)
-        grouped = P.gather_group(cloud.features, cloud.positions, idx,
-                                 cloud.positions[centers_idx])
+        grouped = P.gather_group(cloud.features, cloud.positions, geo.idx,
+                                 geo.centers.positions)
         manual = sa.mlp(grouped, train=False).data.max(axis=1)
         np.testing.assert_array_equal(out.features.data, manual)
 
@@ -135,8 +134,8 @@ class TestPointPyramid:
         cloud = make_cloud(rng, 400)
         specs = [GroupingSpec(4, (3, 5), 8.0, (2, 2)) for _ in range(3)]
         specs.append(GroupingSpec(4, (3, 5), 8.0, (1, 2)))
-        pyr = P.PointPyramid("pt", 4, ((8,), (8,), (16,), (16,)), specs, rng)
-        levels = pyr(cloud, pyr.sample(cloud, CFG), train=False)
+        pyr = P.PointPyramid("pt", 4, ((8,), (8,), (16,), (16,)), rng)
+        levels = pyr(cloud, P.sample_levels(cloud, specs, CFG), train=False)
         assert len(levels) == 5
         assert levels[0] is cloud
         assert [lv.level for lv in levels] == [0, 1, 2, 3, 4]
@@ -144,13 +143,31 @@ class TestPointPyramid:
         assert all(counts[i] >= counts[i + 1] for i in range(4))
         assert levels[4].features.shape[1] == 16
 
+    def test_levels_sample_cells_of_the_cumulative_strides(self):
+        rng = np.random.default_rng(14)
+        cloud = make_cloud(rng, 400)
+        specs = [GroupingSpec(4, (3, 5), 8.0, (2, 1)), GroupingSpec(4, (3, 5), 8.0, (1, 2))]
+        lv1, lv2 = P.sample_levels(cloud, specs, CFG)
+        np.testing.assert_array_equal(lv1.centers.positions,
+                                      cloud.positions[P.cell_sample(cloud, (2, 1))])
+        # level 2 keeps one level-1 center per 2x2 cell of the level-0 grid
+        np.testing.assert_array_equal(lv2.centers.positions,
+                                      lv1.centers.positions[P.cell_sample(lv1.centers, (2, 2))])
+        assert [lv1.centers.level, lv2.centers.level] == [1, 2]
+        assert lv2.idx.max() < lv1.centers.count
+
+    def test_empty_cloud_is_an_empty_level(self):
+        empty = make_cloud(np.random.default_rng(15), 0)
+        with pytest.raises(EmptyLevel, match="level 1"):
+            P.sample_levels(empty, [GroupingSpec(4)], CFG)
+
 
 class TestContextGather:
     def test_shape_and_mismatch(self):
         rng = np.random.default_rng(6)
         cloud = make_cloud(rng, 20)
-        cg = P.ContextGather("cg", 4, (8, 8), GroupingSpec(4, (5, 9), 50.0), rng)
-        idx = cg.group(cloud, CFG)
+        cg = P.ContextGather("cg", 4, (8, 8), rng)
+        idx = P.projection_aware_knn(cloud, cloud, GroupingSpec(4, (5, 9), 50.0), CFG)[0]
         out = cg(cloud.features, cloud, idx, train=False)
         assert out.shape == (20, 8)
         with pytest.raises(IndexMismatch):
@@ -164,9 +181,9 @@ class TestUpsample:
         rng = np.random.default_rng(7)
         coarse = make_cloud(rng, 6, c=3)
         fine = make_cloud(rng, 15, c=5)
-        up = P.Upsample("up", 3, 5, (8,), 7, GroupingSpec(3, (33, 129), 1e6), rng)
+        up = P.Upsample("up", 3, 5, (8,), 7, rng)
         cv = rng.normal(size=(6, 3))
-        idx = up.group(fine, coarse, CFG)
+        idx = P.projection_aware_knn(fine, coarse, GroupingSpec(3, (33, 129), 1e6), CFG)[0]
 
         def run(arr):
             return up(Tensor(arr), coarse, fine, fine.features, idx, train=False)

@@ -203,7 +203,7 @@ class TestNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(p.tensor.grad is not None for p in net.named_parameters())
+        assert all(p.grad is not None for p in net.named_parameters())
         assert peak < 16e6, f"train step peaked at {peak / 1e6:.1f} MB"
 
     def test_gradients_reach_every_parameter(self):
@@ -215,7 +215,7 @@ class TestNetwork:
         loss = (fine.q_t * fine.q_t).sum() + fine.t_t.norm_l1() + \
             (coarse.q_t * coarse.q_t).sum() + coarse.t_t.norm_l1()
         loss.backward()
-        missing = [p.name for p in net.named_parameters() if p.tensor.grad is None]
+        missing = [p.name for p in net.named_parameters() if p.grad is None]
         assert missing == []
 
     def test_fine_pose_composes_coarse(self):
@@ -248,7 +248,7 @@ def forward_and_grads(net, scene, train, geometry):
     lp = LossParams()
     params = net.named_parameters() + lp.named_parameters()
     for p in params:
-        p.zero_grad()
+        p.grad = None
     coarse, fine = net(scene.cloud, scene.image, scene.K, train=train,
                        rng=np.random.default_rng(0), geometry=geometry)
     total_loss(coarse, fine, scene.gt_pose.inverse(), lp).backward()

@@ -91,7 +91,7 @@ class TestAdam:
         opt = T.Adam([p], lr=0.1)
         for _ in range(500):
             opt.zero_grad()
-            loss = (p.tensor * p.tensor).sum()
+            loss = (p * p).sum()
             loss.backward()
             opt.step()
         assert np.abs(p.data).max() < 1e-3
@@ -100,13 +100,13 @@ class TestAdam:
         # with bias correction the first update has magnitude ~lr
         p = Parameter("x", np.array([1.0]))
         opt = T.Adam([p], lr=0.05)
-        (p.tensor * 3.0).sum().backward()
+        (p * 3.0).sum().backward()
         opt.step()
         assert abs(float(p.data[0]) - (1.0 - 0.05)) < 1e-6
 
     def test_clip_grad_norm(self):
         p = Parameter("x", np.zeros(4))
-        p.tensor.grad = np.full(4, 3.0)
+        p.grad = np.full(4, 3.0)
         total = T.clip_grad_norm([p], max_norm=1.0)
         assert abs(total - 6.0) < 1e-12
         assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-12
@@ -133,7 +133,7 @@ class TestSchedule:
         scene = synth_scene(0, SceneConfig(n_points=96))
         # poison a weight so the forward pass emits NaN
         p = net.named_parameters()[0]
-        p.tensor.data[...] = np.nan
+        p.data[...] = np.nan
         with pytest.raises(NonFiniteLoss):
             T.train(net, [scene], TrainConfig(epochs=1, seed=0, holdout_frac=0.0),
                     "/tmp/no.ckpt")
