@@ -4,7 +4,6 @@ only the image strides."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -21,16 +20,11 @@ def desk_config() -> ModelConfig:
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    betas: tuple = (0.9, 0.999)
     lr_decay: float = 0.01       # multiplicative (1 - decay) per epoch
     batch_size: int = 8
     epochs: int = 50
     seed: int = 0
     dropout: float = 0.5
-    alpha3: float = 0.8
-    alpha4: float = 1.6
-    sq_init: float = -2.5
-    st_init: float = 0.0
     clip_norm: float = 10.0
     holdout_frac: float = 0.1
     eval_every: int = 1          # holdout evaluation cadence, in epochs
@@ -49,15 +43,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.seed < 0:  # np.random.default_rng refuses it
             raise ValueError("seed must be non-negative")
-        alphas = (self.alpha3, self.alpha4)
-        if not all(0.0 <= a < math.inf for a in alphas):  # NaN fails too
-            raise ValueError("alpha3 and alpha4 must be finite and non-negative")
-        if not any(alphas):
-            raise ValueError("alpha3 and alpha4 must not both be 0")
-        if len(self.betas) != 2:
-            raise ValueError("betas needs two values")
-        if not all(0.0 <= b < 1.0 for b in self.betas):  # NaN fails too
-            raise ValueError("betas must lie in [0, 1)")
 
 
 def parse_kv_file(path) -> dict:
@@ -78,11 +63,5 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
     for key, val in overrides.items():
         if key not in fields:
             raise KeyError(f"unknown TrainConfig field {key!r}")
-        cur = fields[key]
-        if isinstance(cur, int):
-            fields[key] = int(val)
-        elif isinstance(cur, float):
-            fields[key] = float(val)
-        else:
-            fields[key] = tuple(float(x) for x in val.split(","))
+        fields[key] = type(fields[key])(val)
     return TrainConfig(**fields)

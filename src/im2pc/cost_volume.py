@@ -62,7 +62,9 @@ def standardize(x: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    sigma = var.sqrt().clip_min(SIGMA_FLOOR)
+    # floor before the sqrt, so its backward never divides by 0; the forward
+    # is that of flooring sigma, as sqrt(fl(a * a)) == a
+    sigma = var.clip_min(SIGMA_FLOOR * SIGMA_FLOOR).sqrt()
     return centered / sigma
 
 
@@ -73,13 +75,9 @@ def inverse_similarity(point_feats: Tensor, pixel_feats: Tensor) -> Tensor:
     return prod.max(axis=0)           # (M, C)
 
 
-def normalized_pixel_grid(img: FeatureImage) -> np.ndarray:
-    """(M, 2) pixel coordinates inverse-projected onto the normalized plane."""
-    return normalized_pixels(img.pixel_coords, img.intrinsics)
-
-
 def normalized_pixels(pixel_coords: np.ndarray, K: CameraIntrinsics) -> np.ndarray:
-    """normalized_pixel_grid from the (H, W, 2) coordinates and K alone."""
+    """(M, 2) pixel coordinates, (H, W, 2) before flattening, inverse-projected
+    onto the normalized plane."""
     coords = pixel_coords.reshape(-1, 2)
     return np.stack([(coords[:, 0] - K.cx) / K.fx, (coords[:, 1] - K.cy) / K.fy], axis=1)
 
@@ -153,7 +151,7 @@ class CostVolumeModule(Module):
             raise NoCandidates("image level has no pixels")
         N = pos_t.shape[0]
         g = img.features.reshape(M, self.image_dim)
-        obar = Tensor(normalized_pixel_grid(img))            # (M, 2) constant
+        obar = Tensor(normalized_pixels(img.pixel_coords, img.intrinsics))  # (M, 2) constant
         fa = self.align(f) if self.align is not None else f
         zf = standardize(fa)
         zg = standardize(g)
@@ -211,8 +209,8 @@ class CostVolumeModule(Module):
         geometry's, for the coarse stage) the searches run on `pos_t` now,
         as the fine stage's must: its points move with the coarse pose."""
         if neighbours is None:
-            neighbours = self.neighbours(pos_t.data, spherical, normalized_pixel_grid(img),
-                                         cfg)
+            neighbours = self.neighbours(pos_t.data, spherical,
+                                         normalized_pixels(img.pixel_coords, img.intrinsics), cfg)
         ic = self.ic_generate(pos_t, f, img, train, pixels=neighbours.pixels)
         e = self.lst_embed(pos_t, f, ic, neighbours.lst_idx, neighbours.lst_mask, train)
         return CostVolume(e, level, point_ref)

@@ -1,5 +1,8 @@
 """Synthetic pinhole-scene generation, perturbation sampling, and file IO.
 
+A SceneConfig describes a scene and, once, the perturbation that poses it:
+per-axis rotation and translation ranges, and the mode that draws in them.
+
 Direction convention, fixed here and asserted by tests: Scene.gt_pose maps
 CAMERA-frame coordinates to the MAP frame. The network's prediction target
 is the map->camera transform, i.e. gt_pose.inverse().
@@ -30,20 +33,13 @@ class SceneConfig:
     transl_range: tuple = (1.0, 1.0, 1.0)     # length units per axis
     mode: str = "coarse"                      # large | coarse | decalib
 
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(self.focal, self.focal,
-                                self.width / 2.0, self.height / 2.0)
-
-
-@dataclass
-class PerturbSpec:
-    rot_range: tuple
-    transl_range: tuple
-    mode: str
-
     def __post_init__(self):
         if any(r < 0 for r in self.rot_range) or any(t < 0 for t in self.transl_range):
             raise ValueError("perturbation ranges must be non-negative")
+
+    def intrinsics(self) -> CameraIntrinsics:
+        return CameraIntrinsics(self.focal, self.focal,
+                                self.width / 2.0, self.height / 2.0)
 
 
 @dataclass
@@ -55,13 +51,12 @@ class Scene:
     meta: dict = field(default_factory=dict)
 
 
-def sample_perturbation(spec: PerturbSpec, rng) -> PoseQT:
-    """The pose the network must predict (for decalib: phi_gt = phi^-1)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    rx, ry, rz = (math.radians(r) for r in spec.rot_range)
-    tx, ty, tz = spec.transl_range
-    if spec.mode == "large":
+def sample_perturbation(cfg: SceneConfig, rng: np.random.Generator) -> PoseQT:
+    """The pose the network must predict (for decalib: phi_gt = phi^-1),
+    drawn within the scene config's ranges for its mode."""
+    rx, ry, rz = (math.radians(r) for r in cfg.rot_range)
+    tx, ty, tz = cfg.transl_range
+    if cfg.mode == "large":
         # up-axis (z) rotation and ground-plane (x, y) translation only
         yaw = rng.uniform(-rz, rz)
         t = np.array([rng.uniform(-tx, tx), rng.uniform(-ty, ty), 0.0])
@@ -72,7 +67,7 @@ def sample_perturbation(spec: PerturbSpec, rng) -> PoseQT:
     pose = pose_compose(PoseQT.from_axis_angle([0, 1, 0], angles[1]), pose)
     pose = pose_compose(PoseQT.from_axis_angle([0, 0, 1], angles[2]), pose)
     pose = PoseQT(pose.q, t)
-    if spec.mode == "decalib":
+    if cfg.mode == "decalib":
         return pose.inverse()
     return pose
 
@@ -108,8 +103,7 @@ def synth_scene(seed: int, cfg: SceneConfig) -> Scene:
     first[1:] = pixel[order[1:]] != pixel[order[:-1]]
     win = order[first]
     image.reshape(H * W, 3)[pixel[win]] = colors[win]
-    spec = PerturbSpec(cfg.rot_range, cfg.transl_range, cfg.mode)
-    target = sample_perturbation(spec, rng)   # map -> camera, the net's target
+    target = sample_perturbation(cfg, rng)    # map -> camera, the net's target
     gt_pose = target.inverse()                # camera pose in the map frame
     map_points = pose_apply(gt_pose, cam_points)
     intensity = colors.mean(axis=1)

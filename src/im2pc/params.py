@@ -116,6 +116,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise MalformedFile(f"truncated checkpoint: {e}") from e
     if off != len(raw):
         raise MalformedFile("trailing bytes in checkpoint")
+    for name, values in out.items():
+        if not np.isfinite(values).all():  # train() never saves such a record
+            raise MalformedFile(f"non-finite value in checkpoint record {name!r}")
     return out
 
 

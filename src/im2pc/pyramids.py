@@ -1,10 +1,11 @@
-"""Hierarchical feature extraction: image pyramid, point pyramid with set
-abstraction, context gathering, and the coarse-to-fine upsampling layers.
+"""Hierarchical feature extraction: image pyramid, point pyramid, context
+gathering, and the coarse-to-fine upsampling layers.
 
 The point-side sampling and searches depend on the points alone, so the
 layers here learn only: `sample_levels` finds every point level's centers
 and groups once per scene, and the layers take the neighbour rows they
-group over as an argument."""
+group over as an argument. One group-and-pool layer, `GroupPool`, serves
+every point level, the context gather and the upsampling."""
 
 from __future__ import annotations
 
@@ -132,47 +133,47 @@ def sample_levels(cloud: PointCloud, specs, cfg: SphericalConfig) -> list:
     return out
 
 
-class SetAbstraction(Module):
-    """Group -> shared MLP -> per-group max-pool (one pyramid level)."""
+class GroupPool(Module):
+    """PointNet++ set abstraction: group each center's neighbours with their
+    offsets, run a shared MLP, max-pool over the group."""
 
     def __init__(self, name, in_dim, dims, rng):
         self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
 
-    def __call__(self, cloud: PointCloud, geo: LevelGeometry, train: bool) -> PointCloud:
-        centers = geo.centers
-        grouped = gather_group(cloud.features, cloud.positions, geo.idx, centers.positions)
-        pooled = self.mlp(grouped, train).max(axis=1)
-        return PointCloud(centers.positions, pooled, spherical=centers.spherical,
-                          level=centers.level)
+    def __call__(self, features: Tensor, positions: np.ndarray, idx: np.ndarray,
+                 centers: np.ndarray, train: bool) -> Tensor:
+        if features.shape[0] != positions.shape[0] or idx.shape[0] != centers.shape[0]:
+            raise IndexMismatch(f"{features.shape[0]} feature rows over {positions.shape[0]} "
+                                f"points, {idx.shape[0]} groups over {centers.shape[0]} centers")
+        grouped = gather_group(features, positions, idx, centers)
+        return self.mlp(grouped, train).max(axis=1)
 
 
 class PointPyramid(Module):
+    """One GroupPool per point level, each over the level below."""
+
     def __init__(self, name, in_dim, level_dims, rng):
         self.levels = []
         d = in_dim
         for li, dims in enumerate(level_dims):
-            self.levels.append(SetAbstraction(f"{name}.l{li + 1}", d, dims, rng))
+            self.levels.append(GroupPool(f"{name}.l{li + 1}", d, dims, rng))
             d = dims[-1]
 
     def __call__(self, cloud: PointCloud, geometry: list, train: bool):
         out = [cloud]
-        for level, geo in zip(self.levels, geometry, strict=True):
-            out.append(level(out[-1], geo, train))
+        for pool, geo in zip(self.levels, geometry, strict=True):
+            below, centers = out[-1], geo.centers
+            pooled = pool(below.features, below.positions, geo.idx, centers.positions, train)
+            out.append(PointCloud(centers.positions, pooled, spherical=centers.spherical,
+                                  level=centers.level))
         return out
 
 
-class ContextGather(Module):
+class ContextGather(GroupPool):
     """Set abstraction over the coarse cost volumes, centers kept in place."""
 
-    def __init__(self, name, in_dim, dims, rng):
-        self.mlp = SharedMlp(name, in_dim + 3, dims, rng)
-
     def __call__(self, cv: Tensor, cloud: PointCloud, idx: np.ndarray, train: bool):
-        if cv.shape[0] != cloud.count or idx.shape[0] != cloud.count:
-            raise IndexMismatch(f"{cv.shape[0]} cost volumes and {idx.shape[0]} groups "
-                                f"vs {cloud.count} points")
-        grouped = gather_group(cv, cloud.positions, idx, cloud.positions)
-        return self.mlp(grouped, train).max(axis=1)
+        return super().__call__(cv, cloud.positions, idx, cloud.positions, train)
 
 
 class Upsample(Module):
@@ -180,15 +181,11 @@ class Upsample(Module):
     FC(f_fine (+) MaxPool(MLP({coarse (+) offset})))."""
 
     def __init__(self, name, coarse_dim, fine_dim, mlp_dims, out_dim, rng):
-        self.mlp = SharedMlp(f"{name}.mlp", coarse_dim + 3, mlp_dims, rng)
+        self.pool = GroupPool(f"{name}.mlp", coarse_dim, mlp_dims, rng)
         self.fc = Linear(f"{name}.fc", fine_dim + mlp_dims[-1], out_dim, rng)
 
     def __call__(self, coarse_vals: Tensor, coarse_cloud: PointCloud,
                  fine_cloud: PointCloud, fine_feats: Tensor, idx: np.ndarray,
                  train: bool):
-        if coarse_vals.shape[0] != coarse_cloud.count or idx.shape[0] != fine_cloud.count:
-            raise IndexMismatch("coarse values or groups misaligned with the points")
-        grouped = gather_group(coarse_vals, coarse_cloud.positions, idx,
-                               fine_cloud.positions)
-        pooled = self.mlp(grouped, train).max(axis=1)
+        pooled = self.pool(coarse_vals, coarse_cloud.positions, idx, fine_cloud.positions, train)
         return self.fc(ad.concat([fine_feats, pooled], axis=1))

@@ -15,7 +15,7 @@ from .registration import RegistrationNet, StageOutput
 
 
 class LossParams(Module):
-    """Learnable loss scales s_q (init -2.5) and s_t (init 0)."""
+    """Learnable loss scales s_q and s_t; their inits here are train()'s."""
 
     def __init__(self, sq_init=-2.5, st_init=0.0):
         self.s_q = Parameter("loss.s_q", np.array(sq_init))
@@ -32,6 +32,7 @@ def single_loss(q: Tensor, t: Tensor, gt: PoseQT, lp: LossParams) -> Tensor:
 
 def total_loss(coarse: StageOutput, fine: StageOutput, gt: PoseQT,
                lp: LossParams, alpha3=0.8, alpha4=1.6) -> Tensor:
+    """The stage-weighted loss; train() uses these weights."""
     return alpha3 * single_loss(fine.q_t, fine.t_t, gt, lp) + \
         alpha4 * single_loss(coarse.q_t, coarse.t_t, gt, lp)
 
@@ -119,9 +120,9 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
             geometries[i] = model.geometry(s.cloud, s.image, s.K)
         return geometries[i]
 
-    lp = LossParams(cfg.sq_init, cfg.st_init)
+    lp = LossParams()
     params = model.named_parameters() + lp.named_parameters()
-    opt = Adam(params, lr=cfg.lr, betas=cfg.betas)
+    opt = Adam(params, lr=cfg.lr)
     rows = []
     best_rte = np.inf
     steps = 0
@@ -143,8 +144,7 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
                     coarse, fine = model(scene.cloud, scene.image, scene.K,
                                          train=True, rng=rng, geometry=geometry(i),
                                          dropout=cfg.dropout)
-                    one = total_loss(coarse, fine, target, lp,
-                                     alpha3=cfg.alpha3, alpha4=cfg.alpha4)
+                    one = total_loss(coarse, fine, target, lp)
                     loss = one if loss is None else loss + one
                 loss = loss * (1.0 / len(batch))
                 val = float(loss.data)

@@ -4,6 +4,7 @@ eval / infer flow, the grouping benchmark, and exit codes."""
 import math
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -185,6 +186,36 @@ def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("cmd", ["infer", "eval"])
+def test_non_finite_checkpoint_exit_3(trained, tmp_path, capsys, cmd):
+    data, ckpt, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    raw = open(ckpt, "rb").read()
+    bad.write_bytes(raw[:-8] + struct.pack("<d", math.nan))   # the last record's last value
+    scene = os.path.join(data, "scene_0000")
+    intr = tmp_path / "intr.txt"
+    intr.write_text(INTRINSICS)
+    args = {"infer": ["--cloud", os.path.join(scene, "cloud.bin"), "--image",
+                      os.path.join(scene, "image.ppm"), "--intrinsics", str(intr)],
+            "eval": ["--data", data, "--out", str(tmp_path / "r")]}[cmd]
+    code, out, err = run(capsys, cmd, "--ckpt", str(bad), *args)
+    assert code == 3
+    assert "data error" in err and "non-finite" in err
+    assert out == "" and not list(tmp_path.glob("r_*"))
+
+
+def test_train_on_one_point_scenes(tmp_path, capsys):
+    # every feature row of a 1-point cloud is constant after the norms
+    data = str(tmp_path / "data")
+    assert main(["gen", "--out", data, "--n", "2", "--points", "1"]) == 0
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\n")
+    code, _, err = run(capsys, "train", "--data", data, "--config", str(cfg),
+                       "--out", str(tmp_path / "m.ckpt"))
+    assert code == 0, err
+    assert (tmp_path / "m.ckpt").exists()
+
+
 def as_decalib(*noise):
     """A meta.txt edit that makes the scene a decalibration one with these noise lines."""
     return lambda lines: [l for l in lines if not l.startswith(("mode=", "noise="))] + \
@@ -228,9 +259,6 @@ BAD_TRAIN_CONFIGS = {  # case: config text, or raw bytes
     "eval_every_zero": "eval_every=0\n",
     "holdout_frac_one": "holdout_frac=1\n",
     "holdout_frac_negative": "holdout_frac=-0.1\n",
-    "betas_one_value": "betas=0.9\n",
-    "betas_first_one": "betas=1,0.999\n",
-    "betas_second_negative": "betas=0.9,-0.5\n",
     "lr_zero": "lr=0\n",
     "lr_negative": "lr=-5\n",
     "clip_norm_negative": "clip_norm=-1\n",
@@ -238,13 +266,22 @@ BAD_TRAIN_CONFIGS = {  # case: config text, or raw bytes
     "dropout_one": "dropout=1\n",
     "dropout_negative": "dropout=-0.1\n",
     "seed_negative": "seed=-1\n",
+    "not_utf8": b"epochs=1\n\xff\xfe=3\n",
+    # keys TrainConfig no longer has: the loss's stage weights and scale inits
+    # and Adam's betas are their callees' defaults, so a file naming one is
+    # an unknown field, whatever its value
+    "betas_one_value": "betas=0.9\n",
+    "betas_first_one": "betas=1,0.999\n",
+    "betas_second_negative": "betas=0.9,-0.5\n",
     "alphas_negative": "alpha3=-1\nalpha4=-1\n",
     "alpha3_negative": "alpha3=-0.5\n",
     "alpha4_nan": "alpha4=nan\n",
     "alpha4_inf": "alpha4=inf\n",
     "alphas_both_zero": "alpha3=0\nalpha4=0\n",
-    "not_utf8": b"epochs=1\n\xff\xfe=3\n",
+    "sq_init": "sq_init=-2.5\n",
+    "st_init": "st_init=0\n",
 }
+REMOVED_KEYS = ("betas", "alpha3", "alpha4", "sq_init", "st_init")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TRAIN_CONFIGS))
@@ -258,6 +295,8 @@ def test_bad_train_config_exit_3(trained, tmp_path, capsys, case):
                          "--out", str(ckpt))
     assert code == 3
     assert "data error" in err and "train.cfg" in err
+    if isinstance(text, str) and text.partition("=")[0] in REMOVED_KEYS:
+        assert "unknown TrainConfig field" in err
     assert not ckpt.exists() and "checkpoint" not in out
 
 
@@ -307,15 +346,11 @@ def usage_error(tmp_path, capsys, argv):
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text("lr = 0.01  # tuned\nepochs=2\nbetas=0.8,0.99\n")
+        cfg_file.write_text("lr = 0.01  # tuned\nepochs=2\ndropout=0.25\n")
         kv = parse_kv_file(cfg_file)
         cfg = apply_overrides(TrainConfig(), kv)
-        assert cfg.lr == 0.01 and cfg.epochs == 2
-        assert cfg.betas == (0.8, 0.99)
-
-    def test_one_stage_weight_may_be_zero(self):
-        for weights in ({"alpha3": 0.0}, {"alpha4": 0.0}):
-            TrainConfig(**weights)  # one stage's loss alone is a valid objective
+        assert cfg == TrainConfig(lr=0.01, epochs=2, dropout=0.25)
+        assert type(cfg.epochs) is int and type(cfg.lr) is float
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(KeyError):

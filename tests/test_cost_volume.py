@@ -48,6 +48,17 @@ class TestStandardize:
         z = CV.standardize(Tensor(np.full((2, 4), 3.7))).data
         np.testing.assert_array_equal(z, 0.0)
 
+    def test_constant_vector_has_a_finite_gradient(self):
+        # a 1-point cloud's norms output exactly beta, so every row is constant
+        x = np.full((2, 4), 3.7)
+        x[1] = np.arange(4.0)
+        w = np.arange(8.0).reshape(2, 4)
+        t = Tensor(x, requires_grad=True)
+        (CV.standardize(t) * Tensor(w)).sum().backward()
+        assert np.isfinite(t.grad).all()
+        # with sigma at its floor the row is centered, then divided by it
+        np.testing.assert_allclose(t.grad[0], (w[0] - w[0].mean()) / CV.SIGMA_FLOOR)
+
     def test_positive_affine_invariance(self):
         # so the point-pixel similarity standardize(f) * standardize(g) does
         # not depend on the scale or offset of either feature vector
@@ -84,7 +95,7 @@ class TestInverseSimilarity:
 class TestCandidates:
     def test_grid_inverse_projection(self):
         img = make_image(np.random.default_rng(3), h=2, w=2)
-        grid = CV.normalized_pixel_grid(img)
+        grid = CV.normalized_pixels(img.pixel_coords, img.intrinsics)
         np.testing.assert_allclose(grid[0], [(0 - 2.0) / 8.0, (0 - 1.5) / 8.0])
         np.testing.assert_allclose(grid[3], [(1 - 2.0) / 8.0, (1 - 1.5) / 8.0])
 

@@ -12,18 +12,20 @@ from im2pc.errors import MalformedFile
 
 class TestPerturbation:
     def test_large_mode_is_yaw_plus_ground_plane(self):
-        spec = D.PerturbSpec((30.0, 30.0, 30.0), (1.0, 1.0, 1.0), "large")
+        cfg = D.SceneConfig(rot_range=(30.0, 30.0, 30.0), transl_range=(1.0, 1.0, 1.0),
+                            mode="large")
         for seed in range(50):
-            pose = D.sample_perturbation(spec, seed)
+            pose = D.sample_perturbation(cfg, np.random.default_rng(seed))
             a, b, c = G.euler_xyz(G.pose_to_matrix(pose).R)
             assert abs(a) < 1e-12 and abs(b) < 1e-12   # no roll/pitch
             assert pose.t[2] == 0.0                    # no vertical motion
             assert abs(math.degrees(c)) <= 30.0
 
     def test_coarse_mode_respects_ranges(self):
-        spec = D.PerturbSpec((5.0, 10.0, 15.0), (0.1, 0.2, 0.3), "coarse")
+        cfg = D.SceneConfig(rot_range=(5.0, 10.0, 15.0), transl_range=(0.1, 0.2, 0.3),
+                            mode="coarse")
         for seed in range(50):
-            pose = D.sample_perturbation(spec, seed)
+            pose = D.sample_perturbation(cfg, np.random.default_rng(seed))
             R = G.pose_to_matrix(pose).R
             # the perturbation composes Rz(c) @ Ry(b) @ Rx(a); invert that order
             a = math.degrees(math.atan2(R[2, 1], R[2, 2]))
@@ -35,25 +37,29 @@ class TestPerturbation:
             assert np.all(np.abs(pose.t) <= [0.1, 0.2, 0.3])
 
     def test_decalib_is_inverse_of_coarse(self):
-        ranges = ((5.0, 5.0, 5.0), (0.5, 0.5, 0.5))
+        ranges = dict(rot_range=(5.0, 5.0, 5.0), transl_range=(0.5, 0.5, 0.5))
         for seed in range(20):
-            fwd = D.sample_perturbation(D.PerturbSpec(*ranges, "coarse"), seed)
-            inv = D.sample_perturbation(D.PerturbSpec(*ranges, "decalib"), seed)
+            fwd = D.sample_perturbation(D.SceneConfig(**ranges, mode="coarse"),
+                                        np.random.default_rng(seed))
+            inv = D.sample_perturbation(D.SceneConfig(**ranges, mode="decalib"),
+                                        np.random.default_rng(seed))
             comp = G.pose_compose(fwd, inv)
             np.testing.assert_allclose(comp.q, [1, 0, 0, 0], atol=1e-12)
             np.testing.assert_allclose(comp.t, 0.0, atol=1e-12)
 
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
-            D.PerturbSpec((-1.0, 0, 0), (0, 0, 0), "coarse")
+            D.SceneConfig(rot_range=(-1.0, 0, 0))
+        with pytest.raises(ValueError):
+            D.SceneConfig(transl_range=(0, -0.5, 0))
 
     def test_yaw_uniformity(self):
         # 3-sigma band for the mean of U(-30, 30) over 400 draws
-        spec = D.PerturbSpec((0.0, 0.0, 30.0), (0, 0, 0), "large")
+        cfg = D.SceneConfig(rot_range=(0.0, 0.0, 30.0), transl_range=(0, 0, 0), mode="large")
         yaws = []
         rng = np.random.default_rng(99)
         for _ in range(400):
-            pose = D.sample_perturbation(spec, rng)
+            pose = D.sample_perturbation(cfg, rng)
             yaws.append(math.degrees(G.euler_xyz(G.pose_to_matrix(pose).R)[2]))
         sigma_mean = (60.0 / math.sqrt(12.0)) / math.sqrt(400)
         assert abs(np.mean(yaws)) < 3 * sigma_mean

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from im2pc import geometry as G
-from im2pc.autodiff import Tensor
-from im2pc.cost_volume import Z_MIN, normalized_pixel_grid, normalized_points
+from im2pc.cost_volume import Z_MIN, normalized_pixels, normalized_points
 from im2pc.errors import NotARotation, ZeroNoise, ZeroRange
-from im2pc.pyramids import FeatureImage
-
-
-def pixel_image(pixels, K):
-    """A one-row feature image whose cells sit at the given pixel coordinates."""
-    pixels = np.asarray(pixels, dtype=np.float64).reshape(1, -1, 2)
-    return FeatureImage(Tensor(np.zeros(pixels.shape[:2] + (1,))), pixels, K, level=1)
 
 
 def random_pose(rng):
@@ -146,7 +138,7 @@ class TestSpherical:
 
 class TestPlaneProjections:
     """The normalized-plane projections the cost volume uses: points by
-    `normalized_points`, pixels by `normalized_pixel_grid`."""
+    `normalized_points`, pixels by `normalized_pixels`."""
 
     def test_optical_axis(self):
         np.testing.assert_array_equal(normalized_points(np.array([[0.0, 0.0, 5.0]])),
@@ -174,8 +166,8 @@ class TestPlaneProjections:
 
     def test_inverse_project(self):
         K = G.CameraIntrinsics(100.0, 100.0, 0.0, 0.0)
-        img = pixel_image([[50.0, -20.0], [K.cx, K.cy]], K)
-        np.testing.assert_array_equal(normalized_pixel_grid(img), [[0.5, -0.2], [0.0, 0.0]])
+        coords = np.array([[[50.0, -20.0], [K.cx, K.cy]]])   # a (1, 2, 2) pixel grid
+        np.testing.assert_array_equal(normalized_pixels(coords, K), [[0.5, -0.2], [0.0, 0.0]])
 
     def test_project_inverse_round_trip(self):
         K = G.CameraIntrinsics(80.0, 120.0, 32.0, 24.0)
@@ -184,7 +176,7 @@ class TestPlaneProjections:
         p[:, 2] = np.abs(p[:, 2]) + 0.5
         pbar = normalized_points(p)
         pixels = np.stack([K.fx * pbar[:, 0] + K.cx, K.fy * pbar[:, 1] + K.cy], axis=1)
-        back = normalized_pixel_grid(pixel_image(pixels, K))
+        back = normalized_pixels(pixels.reshape(1, -1, 2), K)
         np.testing.assert_allclose(back, pbar, rtol=0, atol=1e-12)
 
 

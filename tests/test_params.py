@@ -73,6 +73,15 @@ class TestFailures:
         with pytest.raises(MalformedFile):
             P.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, tmp_path, value):
+        params = sample_params(np.random.default_rng(4))
+        params[0].data[1, 2] = value
+        path = tmp_path / "m.ckpt"
+        P.save_checkpoint(path, params)
+        with pytest.raises(MalformedFile, match="a.weight"):
+            P.load_checkpoint(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(P.MAGIC + bytes([99]) + b"\x00" * 8)

@@ -62,12 +62,14 @@ class TestImagePyramid:
 
 
 class TestSetAbstraction:
+    """One point level: a one-level PointPyramid over its GroupPool."""
+
     def test_stride_path_counts_and_level(self):
         rng = np.random.default_rng(2)
         cloud = make_cloud(rng, 200)
-        sa = P.SetAbstraction("sa", 4, (8, 8), rng)
+        pyr = P.PointPyramid("sa", 4, ((8, 8),), rng)
         (geo,) = P.sample_levels(cloud, [GroupingSpec(4, (3, 5), 5.0, (2, 2))], CFG)
-        out = sa(cloud, geo, train=False)
+        out = pyr(cloud, [geo], train=False)[1]
         assert out.level == 1
         assert out.count == geo.centers.count
         assert out.features.shape == (out.count, 8)
@@ -83,14 +85,13 @@ class TestSetAbstraction:
     def test_pooled_feature_is_group_max(self):
         rng = np.random.default_rng(4)
         cloud = make_cloud(rng, 30)
-        sa = P.SetAbstraction("sa", 4, (6,), rng)
+        pyr = P.PointPyramid("sa", 4, ((6,),), rng)
         (geo,) = P.sample_levels(cloud, [GroupingSpec(5, (33, 129), 1e6, (1, 1))], CFG)
-        out = sa(cloud, geo, train=False)
+        out = pyr(cloud, [geo], train=False)[1]
         grouped = P.gather_group(cloud.features, cloud.positions, geo.idx,
                                  geo.centers.positions)
-        manual = sa.mlp(grouped, train=False).data.max(axis=1)
+        manual = pyr.levels[0].mlp(grouped, train=False).data.max(axis=1)
         np.testing.assert_array_equal(out.features.data, manual)
-
 
     def test_gather_group_matches_composed_ops(self):
         rng = np.random.default_rng(12)
@@ -194,3 +195,18 @@ class TestUpsample:
         up(t, coarse, fine, fine.features, idx, train=False).sum().backward()
         num = finite_diff(lambda: float(run(cv).data.sum()), cv)
         assert rel_err(t.grad, num) < 1e-5
+
+    def test_mismatch_and_parameter_names(self):
+        rng = np.random.default_rng(16)
+        coarse = make_cloud(rng, 6, c=3)
+        fine = make_cloud(rng, 15, c=5)
+        up = P.Upsample("up", 3, 5, (8,), 7, rng)
+        # the names a checkpoint stores: the pooled MLP's, then the FC's
+        assert [p.name for p in up.named_parameters()] == [
+            "up.mlp.lin0.weight", "up.mlp.lin0.bias", "up.mlp.norm0.gamma",
+            "up.mlp.norm0.beta", "up.fc.weight", "up.fc.bias"]
+        idx = P.projection_aware_knn(fine, coarse, GroupingSpec(3, (33, 129), 1e6), CFG)[0]
+        with pytest.raises(IndexMismatch):
+            up(Tensor(np.zeros((5, 3))), coarse, fine, fine.features, idx, train=False)
+        with pytest.raises(IndexMismatch):
+            up(Tensor(np.zeros((6, 3))), coarse, fine, fine.features, idx[:14], train=False)
