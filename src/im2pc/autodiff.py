@@ -6,6 +6,11 @@ second call raises GraphConsumed.
 
 backward() frees each node, with its closure and gradient, once its own
 backward has run; afterwards only leaves, such as parameters, keep a `.grad`.
+
+The generic ops live here: arithmetic, reshape, sum, max, softmax, gather,
+concat, conv, pool, dropout. A fixed formula with a closed-form backward is
+one node where it is used: registration's pose ops, cost_volume.standardize,
+nn_blocks' normed layers.
 """
 
 from __future__ import annotations
@@ -146,15 +151,6 @@ class Tensor:
 
         return Tensor._make(np.abs(self.data), (self,), backward)
 
-    def clip_min(self, floor: float):
-        """max(x, floor); gradient passes only where x > floor."""
-        keep = self.data > floor
-
-        def backward(g):
-            self._accum(g * keep)
-
-        return Tensor._make(np.maximum(self.data, floor), (self,), backward)
-
     # -- shape --------------------------------------------------------------
 
     def reshape(self, *shape):
@@ -173,14 +169,6 @@ class Tensor:
 
         return Tensor._make(np.broadcast_to(self.data, shape), (self,), backward)
 
-    def __getitem__(self, key):
-        def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, key, g)
-
-        return Tensor._make(self.data[key], (self,), backward)
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -192,10 +180,6 @@ class Tensor:
                 self._accum(np.broadcast_to(gg, self.shape).copy())
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     def max(self, axis):
         """Reduce-max along `axis`; ties route gradient to the lowest index.
@@ -295,18 +279,6 @@ def concat(tensors, axis=0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             if t.requires_grad:
                 t._accum(piece)
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward)
 

@@ -55,17 +55,23 @@ class CostVolume:
 
 
 def standardize(x: Tensor) -> Tensor:
-    """Per-vector standardization over the channel (last) axis.
+    """Per-vector standardization over the channel (last) axis, as one node.
 
     Population sigma, floored at SIGMA_FLOOR; a constant vector maps to 0.
+    Layer norm's backward, without its z term on rows at the floor.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    # floor before the sqrt, so its backward never divides by 0; the forward
-    # is that of flooring sigma, as sqrt(fl(a * a)) == a
-    sigma = var.clip_min(SIGMA_FLOOR * SIGMA_FLOOR).sqrt()
-    return centered / sigma
+    n = float(x.shape[-1])
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    # floor the variance, not sigma: the same forward, as sqrt(fl(a * a)) == a
+    sigma = np.sqrt(np.maximum(var, SIGMA_FLOOR * SIGMA_FLOOR))
+    z = centered / sigma
+
+    def backward(g):
+        gz = (g * z).sum(axis=-1, keepdims=True) / n * (var > SIGMA_FLOOR * SIGMA_FLOOR)
+        x._accum((g - g.sum(axis=-1, keepdims=True) / n - z * gz) / sigma)
+
+    return Tensor._make(z, (x,), backward)
 
 
 def inverse_similarity(point_feats: Tensor, pixel_feats: Tensor) -> Tensor:

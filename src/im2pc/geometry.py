@@ -3,6 +3,8 @@
 Quaternions are stored (w, x, y, z) and kept unit-norm with a canonical
 sign (w >= 0; if w == 0, the first nonzero component is positive) so that
 equal rotations compare equal numerically.
+
+Numpy only: registration's autodiff pose ops call this algebra forward.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import NotARotation, ZeroNoise, ZeroRange
 
 
@@ -54,7 +55,7 @@ class PoseQT:
         return PoseQT(np.concatenate([[math.cos(half)], math.sin(half) * axis]), t)
 
     def inverse(self) -> "PoseQT":
-        qc = self.q * np.array([1.0, -1.0, -1.0, -1.0])
+        qc = quat_conj(self.q)
         return PoseQT(qc, -quat_rotate(qc, self.t[None, :])[0])
 
 
@@ -113,17 +114,14 @@ class SphericalConfig:
             raise ValueError(f"unknown sensor frame {self.frame!r}")
 
 
-def _stack(parts, axis=0):
-    """Lets one quaternion algebra serve numpy arrays and autodiff Tensors."""
-    if isinstance(parts[0], ad.Tensor):
-        return ad.stack(parts, axis=axis)
-    return np.stack(parts, axis=axis)
+def quat_conj(q: np.ndarray) -> np.ndarray:
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_mul(a, b):
-    w1, x1, y1, z1 = a[0], a[1], a[2], a[3]
-    w2, x2, y2, z2 = b[0], b[1], b[2], b[3]
-    return _stack([
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.stack([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
@@ -131,13 +129,13 @@ def quat_mul(a, b):
     ])
 
 
-def quat_rotate(q, points):
+def quat_rotate(q: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Rotate (N, 3) points by the unit quaternion, p + 2(w(vxp) + vx(vxp))."""
-    w, x, y, z = q[0], q[1], q[2], q[3]
+    w, x, y, z = q
 
     def v_cross(p):
         px, py, pz = p[:, 0], p[:, 1], p[:, 2]
-        return _stack([y * pz - z * py, z * px - x * pz, x * py - y * px], axis=1)
+        return np.stack([y * pz - z * py, z * px - x * pz, x * py - y * px], axis=1)
 
     uv = v_cross(points)
     uuv = v_cross(uv)

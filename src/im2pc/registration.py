@@ -13,9 +13,9 @@ from . import pyramids
 from .autodiff import Tensor
 from .config import ModelConfig
 from .cost_volume import CostVolumeModule, MixtureSpec, StageNeighbours, normalized_pixels
-from .errors import DegenerateQuaternion, IndexMismatch, ShapeMismatch
+from .errors import DegenerateQuaternion, IndexMismatch, NonFiniteLoss, ShapeMismatch
 from .geometry import (CameraIntrinsics, PoseQT, SphericalConfig, canonical_sign,
-                       quat_mul, quat_rotate, spherical_project_many)
+                       quat_conj, quat_mul, quat_rotate, spherical_project_many)
 from .nn_blocks import Linear, SharedMlp
 from .params import Module
 from .pyramids import ContextGather, ImagePyramid, PointPyramid, Upsample
@@ -45,13 +45,46 @@ POS_DIM = 16
 MIDDLE_DIM = 64
 
 
+def quat_mul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a * b; bilinear, so a's gradient is g * conj b and b's conj a * g."""
+    def backward(g):
+        if a.requires_grad:
+            a._accum(quat_mul(g, quat_conj(b.data)))
+        if b.requires_grad:
+            b._accum(quat_mul(quat_conj(a.data), g))
+
+    return Tensor._make(quat_mul(a.data, b.data), (a, b), backward)
+
+
+def quat_rotate_t(q: Tensor, points: Tensor) -> Tensor:
+    """(N, 3) points rotated by q, p + 2(w v x p + v x (v x p)): linear in p,
+    whose gradient is g rotated by conj q; q's gradient holds for any q."""
+    def backward(g):
+        if points.requires_grad:
+            points._accum(quat_rotate(quat_conj(q.data), g))
+        if q.requires_grad:
+            w, v, p = q.data[0], q.data[1:], points.data
+            gv = w * np.cross(p, g).sum(0) + g.T @ (p @ v) + p.T @ (g @ v) - 2 * (g * p).sum() * v
+            q._accum(2.0 * np.concatenate([[(g * np.cross(v, p)).sum()], gv]))
+
+    return Tensor._make(quat_rotate(q.data, points.data), (q, points), backward)
+
+
 def quat_normalize_t(q: Tensor) -> Tensor:
-    n = (q * q).sum().sqrt()
-    if float(n.data) < 1e-12:
+    """q / |q| with the canonical sign s; the gradient is (g - o (o.g)) s / |q|
+    for the output o, as s is piecewise constant."""
+    n = np.sqrt((q.data * q.data).sum())
+    if not np.isfinite(n):
+        raise NonFiniteLoss(f"non-finite quaternion norm {n}")
+    if n < 1e-12:
         raise DegenerateQuaternion("quaternion norm below 1e-12")
-    q = q / n
-    # canonical sign is piecewise constant, so a data-derived factor is safe
-    return q * canonical_sign(q.data)
+    s = canonical_sign(q.data / n)
+    out = q.data / n * s
+
+    def backward(g):
+        q._accum((g - out * (out @ g)) * (s / n))
+
+    return Tensor._make(out, (q,), backward)
 
 
 @dataclass
@@ -88,6 +121,11 @@ class StageOutput:
     t_t: Tensor               # (3,)
     cost_volume: Tensor       # (N, C) — E4_new (coarse) or OE3 (fine)
     mask_logits: Tensor       # (N, C)
+
+    def __post_init__(self):
+        # the quaternion's norm was checked by quat_normalize_t
+        if not np.isfinite(self.t_t.data).all():
+            raise NonFiniteLoss(f"non-finite translation {self.t_t.data}")
 
 
 class PoseRegressor(Module):
@@ -187,7 +225,7 @@ class RegistrationNet(Module):
                  dropout: float = 0.0) -> StageOutput:
         cloud3 = point_levels[3]
         cloud4 = point_levels[4]
-        warped = quat_rotate(coarse.q_t, Tensor(cloud3.positions)) + \
+        warped = quat_rotate_t(coarse.q_t, Tensor(cloud3.positions)) + \
             coarse.t_t.reshape(1, 3)
         sph_w = spherical_project_many(warped.data, SPHERICAL)
         cv3 = self.cv_fine(warped, sph_w, cloud3.features, img_levels[2],
@@ -199,8 +237,8 @@ class RegistrationNet(Module):
         oe3 = self.oe_mlp(ad.concat([cv3.entries, ue3, cloud3.features], axis=1), train)
         m3 = self.mask_fine(ad.concat([oe3, um3, cloud3.features], axis=1), train)
         dq, dt = self.regress_fine(oe3, m3, dropout, train, rng)
-        q3 = quat_normalize_t(quat_mul(dq, coarse.q_t))
-        t3 = quat_rotate(dq, coarse.t_t.reshape(1, 3)).reshape(3) + dt
+        q3 = quat_normalize_t(quat_mul_t(dq, coarse.q_t))
+        t3 = quat_rotate_t(dq, coarse.t_t.reshape(1, 3)).reshape(3) + dt
         return StageOutput(PoseQT(q3.data, t3.data), q3, t3, oe3, m3)
 
     def __call__(self, cloud: PointCloud, image, K: CameraIntrinsics,

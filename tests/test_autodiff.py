@@ -128,8 +128,8 @@ class TestGradChecks:
 
         def build(ta, tb):   # a matrix product as a broadcast product and a sum
             y = (ta.reshape(3, 4, 1) * tb.reshape(1, 4, 2)).sum(axis=1)
-            z = ad.concat([y, y * 2.0], axis=1)
-            return (z[1:, :3] * z[1:, :3]).sum()
+            z = ad.concat([y, y * 2.0], axis=1).gather(np.arange(1, 3))  # rows 1:
+            return (z * z).sum()
 
         check_grad(build, [a, b])
 
@@ -167,7 +167,7 @@ class TestGradChecks:
         # leaky ReLU as max(x, 0.1 x), then a reduce-max over the rows
 
         def build(t):
-            leaky = ad.stack([t, t * 0.1]).max(axis=0)
+            leaky = ad.concat([t.reshape(1, 5, 4), (t * 0.1).reshape(1, 5, 4)]).max(axis=0)
             return (leaky.max(axis=0) * 2.0).sum()
 
         check_grad(build, [x])

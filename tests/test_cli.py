@@ -12,6 +12,7 @@ import pytest
 from im2pc import training
 from im2pc.cli import main
 from im2pc.config import TrainConfig, apply_overrides, parse_kv_file
+from im2pc.params import Parameter, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -186,21 +187,41 @@ def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
     assert "data error" in err
 
 
-@pytest.mark.parametrize("cmd", ["infer", "eval"])
-def test_non_finite_checkpoint_exit_3(trained, tmp_path, capsys, cmd):
-    data, ckpt, _ = trained
-    bad = tmp_path / "bad.ckpt"
-    raw = open(ckpt, "rb").read()
-    bad.write_bytes(raw[:-8] + struct.pack("<d", math.nan))   # the last record's last value
+def run_on_scene_0(capsys, cmd, ckpt, data, tmp_path):
+    """`infer` on the first scene, or `eval` on all of them writing to r_*."""
     scene = os.path.join(data, "scene_0000")
     intr = tmp_path / "intr.txt"
     intr.write_text(INTRINSICS)
     args = {"infer": ["--cloud", os.path.join(scene, "cloud.bin"), "--image",
                       os.path.join(scene, "image.ppm"), "--intrinsics", str(intr)],
             "eval": ["--data", data, "--out", str(tmp_path / "r")]}[cmd]
-    code, out, err = run(capsys, cmd, "--ckpt", str(bad), *args)
+    return run(capsys, cmd, "--ckpt", str(ckpt), *args)
+
+
+@pytest.mark.parametrize("cmd", ["infer", "eval"])
+def test_non_finite_checkpoint_exit_3(trained, tmp_path, capsys, cmd):
+    data, ckpt, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    raw = open(ckpt, "rb").read()
+    bad.write_bytes(raw[:-8] + struct.pack("<d", math.nan))   # the last record's last value
+    code, out, err = run_on_scene_0(capsys, cmd, bad, data, tmp_path)
     assert code == 3
     assert "data error" in err and "non-finite" in err
+    assert out == "" and not list(tmp_path.glob("r_*"))
+
+
+@pytest.mark.parametrize("cmd", ["infer", "eval"])
+def test_non_finite_pose_exit_4(trained, tmp_path, capsys, cmd):
+    # finite weights whose activations overflow give a NaN pose, not a result
+    data, ckpt, _ = trained
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(str(bad), [Parameter(name, value * 1e300 if name.startswith("pts.l1.")
+                                         else value)
+                               for name, value in load_checkpoint(ckpt).items()])
+    with np.errstate(all="ignore"):
+        code, out, err = run_on_scene_0(capsys, cmd, bad, data, tmp_path)
+    assert code == 4
+    assert "invariant violation" in err and "non-finite" in err
     assert out == "" and not list(tmp_path.glob("r_*"))
 
 

@@ -59,6 +59,34 @@ class TestStandardize:
         # with sigma at its floor the row is centered, then divided by it
         np.testing.assert_allclose(t.grad[0], (w[0] - w[0].mean()) / CV.SIGMA_FLOOR)
 
+    def test_one_node_matches_the_composed_numpy(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 9)) * 3 + 2
+        x[2] = 0.75   # a constant row
+        want = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(
+            np.maximum(x.var(axis=-1, keepdims=True), CV.SIGMA_FLOOR ** 2))
+        assert CV.standardize(Tensor(x)).data.tobytes() == want.tobytes()
+        grouped = x.reshape(2, 3, 9)
+        assert CV.standardize(Tensor(grouped)).data.tobytes() == want.reshape(2, 3, 9).tobytes()
+
+    def test_gradient_matches_finite_difference(self):
+        # ordinary rows, constant ones and one whose variance is below the
+        # floor yet whose z is not 0: a step of 2**-33 keeps those rows at
+        # the floor and is exact on their values
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.normal(size=(3, 8)) * 2 + 1, np.full((2, 8), 0.5),
+                       0.5 + np.arange(8.0) * 2.0 ** -34])
+        w = rng.normal(size=x.shape)
+        t = Tensor(x, requires_grad=True)
+        (CV.standardize(t) * Tensor(w)).sum().backward()
+
+        def loss():
+            return float((CV.standardize(Tensor(x)).data * w).sum())
+
+        num = np.vstack([finite_diff(loss, x[:3]), finite_diff(loss, x[3:], h=2.0 ** -33)])
+        assert rel_err(t.grad[:3], num[:3]) < 1e-7
+        assert rel_err(t.grad[3:], num[3:]) < 1e-7
+
     def test_positive_affine_invariance(self):
         # so the point-pixel similarity standardize(f) * standardize(g) does
         # not depend on the scale or offset of either feature vector

@@ -14,16 +14,19 @@ import im2pc.geometry as G
 from im2pc.autodiff import Tensor
 from im2pc.config import TrainConfig, desk_config
 from im2pc.data import SceneConfig, synth_scene
-from im2pc.errors import DegenerateQuaternion, IndexMismatch
+from im2pc.errors import DegenerateQuaternion, IndexMismatch, NonFiniteLoss
 from im2pc.sampling import PointCloud
 from im2pc.training import LossParams, total_loss, train as run_train
 from util import finite_diff, rel_err
 
 
-def random_unit_quat(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return q if q[0] >= 0 or (q[0] == 0 and False) else q * np.sign(q[0] if q[0] != 0 else 1.0)
+def skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+# non-unit quaternions, one with w < 0, where a normalisation that forgets the
+# canonical sign in its gradient goes wrong
+QUATS = [np.array([0.9, -0.7, 0.4, 1.3]), np.array([-1.6, 0.5, -0.2, 0.8])]
 
 
 class TestQuaternionOps:
@@ -32,7 +35,7 @@ class TestQuaternionOps:
         for _ in range(1000):
             qa = rng.normal(size=4); qa /= np.linalg.norm(qa)
             qb = rng.normal(size=4); qb /= np.linalg.norm(qb)
-            qc = G.quat_mul(Tensor(qa), Tensor(qb)).data
+            qc = G.quat_mul(qa, qb)
             Ra = G.pose_to_matrix(G.PoseQT(qa, np.zeros(3))).R
             Rb = G.pose_to_matrix(G.PoseQT(qb, np.zeros(3))).R
             Rc = G.pose_to_matrix(G.PoseQT(qc, np.zeros(3))).R
@@ -43,20 +46,23 @@ class TestQuaternionOps:
         for _ in range(50):
             q = rng.normal(size=4); q /= np.linalg.norm(q)
             pts = rng.normal(size=(6, 3))
-            out = G.quat_rotate(Tensor(q), Tensor(pts)).data
+            out = G.quat_rotate(q, pts)
             M = G.pose_to_matrix(G.PoseQT(q, np.zeros(3))).R
             np.testing.assert_allclose(out, pts @ M.T, atol=1e-10)
 
     def test_arrays_and_tensors_share_the_algebra(self):
-        # one definition serves PoseQT (numpy) and the stage poses (Tensor)
+        # each node's forward is bitwise the array algebra PoseQT uses
         rng = np.random.default_rng(4)
         for _ in range(100):
             qa, qb = rng.normal(size=4), rng.normal(size=4)
             pts = rng.normal(size=(5, 3))
-            np.testing.assert_array_equal(G.quat_mul(qa, qb),
-                                          G.quat_mul(Tensor(qa), Tensor(qb)).data)
-            np.testing.assert_array_equal(G.quat_rotate(qa, pts),
-                                          G.quat_rotate(Tensor(qa), Tensor(pts)).data)
+            np.testing.assert_array_equal(R.quat_mul_t(Tensor(qa), Tensor(qb)).data,
+                                          G.quat_mul(qa, qb))
+            np.testing.assert_array_equal(R.quat_rotate_t(Tensor(qa), Tensor(pts)).data,
+                                          G.quat_rotate(qa, pts))
+            unit = qa / np.sqrt((qa * qa).sum())
+            np.testing.assert_array_equal(R.quat_normalize_t(Tensor(qa)).data,
+                                          unit * G.canonical_sign(unit))
 
     def test_tensor_gradients_match_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -66,11 +72,54 @@ class TestQuaternionOps:
             return (G.quat_rotate(G.quat_mul(a, b), p) ** 2 * np.arange(1.0, 4.0)).sum()
 
         ts = [Tensor(x, requires_grad=True) for x in (qa, qb, pts)]
-        rot = G.quat_rotate(G.quat_mul(ts[0], ts[1]), ts[2])
+        rot = R.quat_rotate_t(R.quat_mul_t(ts[0], ts[1]), ts[2])
         (rot * rot * Tensor(np.arange(1.0, 4.0))).sum().backward()
         for t, x in zip(ts, (qa, qb, pts)):
             num = finite_diff(lambda: float(loss(qa, qb, pts)), x)
             assert rel_err(t.grad, num) < 1e-7
+
+    @pytest.mark.parametrize("q", QUATS, ids=["w>0", "w<0"])
+    def test_node_gradients_match_finite_difference(self, q):
+        rng = np.random.default_rng(6)
+        b, pts = rng.normal(size=4), rng.normal(size=(5, 3))
+        wq, wp = rng.normal(size=4), rng.normal(size=(5, 3))
+        cases = [  # (node on tensors, the same on arrays, its inputs)
+            (R.quat_mul_t, G.quat_mul, (q.copy(), b)),
+            (R.quat_rotate_t, G.quat_rotate, (q.copy(), pts)),
+            (R.quat_normalize_t, lambda a: a / np.linalg.norm(a) * np.sign(q[0]), (q.copy(),)),
+        ]
+        for node, array_fn, xs in cases:
+            w = wp if node is R.quat_rotate_t else wq
+            ts = [Tensor(x, requires_grad=True) for x in xs]
+            (node(*ts) * Tensor(w)).sum().backward()
+            for t, x in zip(ts, xs):
+                num = finite_diff(lambda: float((array_fn(*xs) * w).sum()), x)
+                assert rel_err(t.grad, num) < 1e-7, node.__name__
+
+    @pytest.mark.parametrize("q", QUATS, ids=["w>0", "w<0"])
+    def test_node_gradients_match_the_linear_maps(self, q):
+        rng = np.random.default_rng(7)
+        b, pts = rng.normal(size=4), rng.normal(size=(5, 3))
+        g4, g3 = rng.normal(size=4), rng.normal(size=(5, 3))
+        # the rotation is p -> M p for any q, so the points' gradient is g M
+        w, v = q[0], q[1:]
+        M = np.eye(3) + 2.0 * w * skew(v) + 2.0 * skew(v) @ skew(v)
+        tq, tp = Tensor(q, requires_grad=True), Tensor(pts, requires_grad=True)
+        (R.quat_rotate_t(tq, tp) * Tensor(g3)).sum().backward()
+        np.testing.assert_allclose(tp.grad, g3 @ M, rtol=0, atol=1e-12)
+        # a * b is L(a) b and R(b) a, with the columns a * e_i and e_i * b
+        L = np.stack([G.quat_mul(q, e) for e in np.eye(4)], axis=1)
+        Rb = np.stack([G.quat_mul(e, b) for e in np.eye(4)], axis=1)
+        ta, tb = Tensor(q, requires_grad=True), Tensor(b, requires_grad=True)
+        (R.quat_mul_t(ta, tb) * Tensor(g4)).sum().backward()
+        np.testing.assert_allclose(ta.grad, Rb.T @ g4, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tb.grad, L.T @ g4, rtol=0, atol=1e-12)
+        # normalisation: the projection off the output o, times s / |q|
+        tq = Tensor(q, requires_grad=True)
+        o = R.quat_normalize_t(tq)
+        (o * Tensor(g4)).sum().backward()
+        want = (np.eye(4) - np.outer(o.data, o.data)) @ g4 * np.sign(w) / np.linalg.norm(q)
+        np.testing.assert_allclose(tq.grad, want, rtol=0, atol=1e-12)
 
     def test_normalize_canonical_sign(self):
         q = np.array([-0.5, 0.5, 0.5, 0.5]) * 2.0
@@ -82,6 +131,12 @@ class TestQuaternionOps:
         with pytest.raises(DegenerateQuaternion):
             R.quat_normalize_t(Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("q", [[np.nan, 0, 0, 1], [np.inf, 0, 0, 0], [1e300, 1e300, 0, 0]],
+                             ids=["nan", "inf", "overflow"])
+    def test_normalize_rejects_a_non_finite_norm(self, q):
+        with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
+            R.quat_normalize_t(Tensor(np.array(q, dtype=float)))
+
     def test_refinement_equals_pose_composition(self):
         # fine update: q = dq * q0, t = rot(dq, t0) + dt, exactly composing
         # the delta pose with the coarse pose
@@ -90,8 +145,8 @@ class TestQuaternionOps:
             q0 = rng.normal(size=4); q0 /= np.linalg.norm(q0)
             dq = rng.normal(size=4); dq /= np.linalg.norm(dq)
             t0, dt = rng.normal(size=3), rng.normal(size=3)
-            q = R.quat_normalize_t(G.quat_mul(Tensor(dq), Tensor(q0))).data
-            t = G.quat_rotate(Tensor(dq), Tensor(t0[None])).data[0] + dt
+            q = R.quat_normalize_t(R.quat_mul_t(Tensor(dq), Tensor(q0))).data
+            t = R.quat_rotate_t(Tensor(dq), Tensor(t0[None])).data[0] + dt
             oracle = G.pose_compose(G.PoseQT(dq, dt), G.PoseQT(q0, t0))
             np.testing.assert_allclose(q, oracle.q, atol=1e-10)
             np.testing.assert_allclose(t, oracle.t, atol=1e-10)
@@ -206,6 +261,32 @@ class TestNetwork:
         assert all(p.grad is not None for p in net.named_parameters())
         assert peak < 16e6, f"train step peaked at {peak / 1e6:.1f} MB"
 
+    def test_eval_forward_node_count(self, monkeypatch):
+        # the pose algebra and standardize are one node each: a desk forward
+        # made 358 nodes while they were composed of small-array ops
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(10_003, SceneConfig(n_points=512))
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        made = count_nodes(monkeypatch)
+        net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
+        assert 0 < made[0] <= 200, made[0]
+
+    def test_train_forward_node_count(self, monkeypatch):
+        # A4's config, a forward with its loss: 396 nodes when composed
+        cfg = desk_config()
+        cfg.image_strides = ((2, 2), (2, 2), (1, 1))
+        net = R.RegistrationNet(cfg, seed=0)
+        scfg = SceneConfig(n_points=512, rot_range=(0.0, 0.0, 15.0),
+                           transl_range=(0.5, 0.5, 0.0), mode="large")
+        scenes = [synth_scene(s, scfg) for s in range(2)]
+        geos = [net.geometry(s.cloud, s.image, s.K) for s in scenes]
+        made = count_nodes(monkeypatch)
+        rng = np.random.default_rng(0)
+        for s, geo in zip(scenes, geos):
+            coarse, fine = net(s.cloud, s.image, s.K, train=True, rng=rng, geometry=geo)
+            total_loss(coarse, fine, s.gt_pose.inverse(), LossParams())
+        assert 0 < made[0] <= 235 * len(scenes), made[0]
+
     def test_gradients_reach_every_parameter(self):
         cfg = desk_config()
         net = R.RegistrationNet(cfg, seed=1)
@@ -227,14 +308,25 @@ class TestNetwork:
         coarse = net.run_coarse(img_l, pt_l, geo, train=False)
         fine = net.run_fine(img_l, pt_l, coarse, geo, train=False)
         # recover the delta and re-compose; must land exactly on the fine pose
-        delta_q = G.quat_mul(Tensor(fine.q_t.data),
-                             Tensor(G.PoseQT(coarse.q_t.data, np.zeros(3)).inverse().q)).data
+        delta_q = G.quat_mul(fine.q_t.data, G.quat_conj(coarse.q_t.data))
         recomposed = G.pose_compose(
             G.PoseQT(delta_q, fine.t_t.data -
                      G.pose_apply(G.PoseQT(delta_q, np.zeros(3)), coarse.t_t.data)),
             G.PoseQT(coarse.q_t.data, coarse.t_t.data))
         np.testing.assert_allclose(recomposed.q, G.PoseQT(fine.q_t.data, fine.t_t.data).q,
                                    atol=1e-9)
+
+
+def count_nodes(monkeypatch):
+    """Count Tensor._make calls from now on; returns a one-element list."""
+    made, make = [0], Tensor._make
+
+    def counted(*args):
+        made[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
+    return made
 
 
 def stage_arrays(coarse, fine):
