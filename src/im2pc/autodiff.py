@@ -7,6 +7,12 @@ second call raises GraphConsumed.
 backward() frees each node, with its closure and gradient, once its own
 backward has run; afterwards only leaves, such as parameters, keep a `.grad`.
 
+Inside `recording(False)` ops return plain tensors with no parents, so no
+activation outlives its consumer. `replay` builds on that: it runs a function
+without a graph, and only a backward through its outputs runs the function
+again with recording on (the recompute trade of Chen et al., 2016, "Training
+Deep Nets with Sublinear Memory Cost", applied to a whole forward).
+
 The generic ops live here: arithmetic, reshape, sum, max, softmax, gather,
 concat, conv, pool, dropout. A fixed formula with a closed-form backward is
 one node where it is used: registration's pose ops, cost_volume.standardize,
@@ -16,12 +22,33 @@ nn_blocks' normed layers.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import GraphConsumed, NotScalar, ShapeMismatch
 
 DTYPE = np.float64
+
+
+class _Recording(threading.local):
+    on = True  # read by Tensor._make; set only through recording()
+
+
+_RECORDING = _Recording()
+
+
+@contextmanager
+def recording(on: bool):
+    """Ops inside the block record a graph (on) or return plain tensors with
+    no parents (off); the previous setting returns on exit, also on errors.
+    The setting is per thread."""
+    previous, _RECORDING.on = _RECORDING.on, bool(on)
+    try:
+        yield
+    finally:
+        _RECORDING.on = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -58,12 +85,13 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward):
         out = Tensor(data)
-        for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = tuple(parents)
-                out._backward = backward
-                break
+        if _RECORDING.on:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    break
         return out
 
     def _accum(self, grad):
@@ -230,29 +258,75 @@ class Tensor:
             raise NotScalar(f"backward needs a scalar, got shape {self.shape}")
         if self._spent:
             raise GraphConsumed("this graph was already traversed")
-        topo, visited = [], set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        while topo:  # popped, so a node is freed as soon as its backward ran
-            node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad if node.grad is not None else np.zeros_like(node.data))
-                node.grad = None
-            node._spent = True
-            node._parents = ()
-            node._backward = None
+        _backprop([self])
+
+
+def _backprop(roots, inputs=()):
+    """Run the backward of every node that `roots` (their .grad set) depend
+    on, children before parents, freeing each node once its backward ran.
+    The walk stops at `inputs`: they gather gradient, but neither their
+    backward runs nor are they freed."""
+    topo, visited = [], {id(t) for t in inputs}
+    stack = [(r, False) for r in roots]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    while topo:  # popped, so a node is freed as soon as its backward ran
+        node = topo.pop()
+        if node._backward is not None:
+            node._backward(node.grad if node.grad is not None else np.zeros_like(node.data))
+            node.grad = None
+        node._spent = True
+        node._parents = ()
+        node._backward = None
+
+
+def replay(fn, inputs) -> list:
+    """fn()'s output tensors, computed with no graph and returned as children
+    of one node whose parents are those of `inputs` that require grad.
+
+    The node holds no activation. Its backward runs fn() again with recording
+    on, so fn must read nothing but `inputs` and state that stays as it was:
+    outputs that are not bitwise the returned ones raise GraphConsumed, since
+    a parameter or buffer changed after the forward. Then it sends the
+    outputs' gradients down the recomputed graph into `inputs`."""
+    with recording(False):
+        outs = fn()
+    inputs = tuple(t for t in inputs if t.requires_grad)
+    grads = [None] * len(outs)
+
+    def backward(_):
+        with recording(True):
+            again = fn()
+        if any(a.shape != o.shape or a.data.tobytes() != o.data.tobytes()
+               for a, o in zip(again, outs)):
+            raise GraphConsumed("the replayed forward differs from the recorded one: "
+                                "a parameter or buffer changed after the forward")
+        roots = []
+        for a, g in zip(again, grads):
+            if g is not None:
+                a._accum(g)
+                roots.append(a)
+        _backprop(roots, inputs)
+
+    node = Tensor._make(np.zeros(()), inputs, backward)
+
+    def stash(i):
+        def backward(g):
+            grads[i] = g
+        return backward
+
+    return [Tensor._make(o.data, (node,), stash(i)) for i, o in enumerate(outs)]
 
 
 def scatter_rows(indices: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:

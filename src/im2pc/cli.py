@@ -85,24 +85,26 @@ def _load_model(ckpt):
 
 
 def cmd_eval(args):
-    scenes = [read_scene(d) for d in _scene_dirs(args.data)]
+    dirs = _scene_dirs(args.data)
     model = _load_model(args.ckpt)
-    preds, gts = [], []
-    for scene in scenes:
+    preds, gts, noises = [], [], []  # one scene in memory at a time
+    for d in dirs:
+        scene = read_scene(d)
         _, fine = model(scene.cloud, scene.image, scene.K, train=False)
         preds.append(fine.pose)
         gts.append(scene.gt_pose.inverse())
+        if scene.meta.get("mode") == "decalib":  # decalib scores by the noise
+            noises.append(float(scene.meta["noise"]))
     errors = pair_errors(preds, gts)
     stats = gated_stats(errors)
     extra = {}
-    if all(s.meta.get("mode") == "decalib" for s in scenes):
-        noises = [float(s.meta["noise"]) for s in scenes]
+    if len(noises) == len(dirs):
         msee, mrr = decalib_errors(preds, gts, noises)
         extra = {"msee": msee, "mrr": mrr}
     write_metrics_csv(args.out + "_metrics.csv", stats, extra)
     write_recall_csv(args.out + "_recall.csv", recall_rows(errors))
     write_hist_csv(args.out + "_hist.csv", hist_rows(errors))
-    print(f"evaluated {len(scenes)} scenes; outputs at {args.out}_*.csv")
+    print(f"evaluated {len(dirs)} scenes; outputs at {args.out}_*.csv")
     return 0
 
 

@@ -93,16 +93,17 @@ def synth_scene(seed: int, cfg: SceneConfig) -> Scene:
     y = (v - K.cy) / K.fy * z
     cam_points = np.stack([x, y, z], axis=1)
     colors = _point_colors(cam_points)
-    # render with a 1-pixel splat and a nearest-wins z-buffer: a stable sort
-    # by pixel, then depth, puts each pixel's nearest point first, and the
-    # lowest index among equal depths
+    # render with a 1-pixel splat and a nearest-wins z-buffer, as two table
+    # passes: each pixel's nearest depth, then the lowest index at that depth
     image = rng.random((H, W, 3))           # unsplatted pixels get seeded noise
     pixel = np.clip(v.astype(int), 0, H - 1) * W + np.clip(u.astype(int), 0, W - 1)
-    order = np.lexsort((z, pixel))
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = pixel[order[1:]] != pixel[order[:-1]]
-    win = order[first]
-    image.reshape(H * W, 3)[pixel[win]] = colors[win]
+    nearest = np.full(H * W, np.inf)
+    np.minimum.at(nearest, pixel, z)
+    at_nearest = np.flatnonzero(z == nearest[pixel])
+    winner = np.full(H * W, cfg.n_points)
+    np.minimum.at(winner, pixel[at_nearest], at_nearest)
+    hit = winner < cfg.n_points
+    image.reshape(H * W, 3)[hit] = colors[winner[hit]]
     target = sample_perturbation(cfg, rng)    # map -> camera, the net's target
     gt_pose = target.inverse()                # camera pose in the map frame
     map_points = pose_apply(gt_pose, cam_points)

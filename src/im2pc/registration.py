@@ -1,5 +1,9 @@
 """Coarse and fine registration stages: outlier mask prediction, masked pose
-regression, pose warping, cost-volume/mask optimization, and refinement."""
+regression, pose warping, cost-volume/mask optimization, and refinement.
+
+A train forward records its whole graph. An eval forward records none: its
+outputs come from autodiff.replay, which runs the stages again only when a
+backward reaches them."""
 
 from __future__ import annotations
 
@@ -246,10 +250,27 @@ class RegistrationNet(Module):
                  geometry: Optional[SceneGeometry] = None, dropout: float = 0.0):
         """Both stages. `geometry` is RegistrationNet.geometry of this cloud,
         image shape and K; without it the forward builds its own. `dropout` is
-        the pose heads' drop rate in train mode."""
+        the pose heads' drop rate in train mode.
+
+        An eval forward (train=False) records no graph: its outputs hang off
+        one autodiff.replay node, and a backward through them runs the stages
+        again on the same geometry, so an inference request keeps no
+        activation alive and a loss on eval outputs still differentiates."""
         if geometry is None:
             geometry = self.geometry(cloud, image, K)
-        img_levels, point_levels = self.extract(cloud, image, K, geometry, train)
-        coarse = self.run_coarse(img_levels, point_levels, geometry, train, rng, dropout)
-        fine = self.run_fine(img_levels, point_levels, coarse, geometry, train, rng, dropout)
-        return coarse, fine
+
+        def stages():
+            img_levels, point_levels = self.extract(cloud, image, K, geometry, train)
+            coarse = self.run_coarse(img_levels, point_levels, geometry, train, rng, dropout)
+            fine = self.run_fine(img_levels, point_levels, coarse, geometry, train, rng,
+                                 dropout)
+            return coarse, fine
+
+        if train:
+            return stages()
+        inputs = self.named_parameters() + [x for x in (image, cloud.features)
+                                            if isinstance(x, Tensor)]
+        out = ad.replay(lambda: [a for st in stages() for a in
+                                 (st.q_t, st.t_t, st.cost_volume, st.mask_logits)], inputs)
+        return tuple(StageOutput(PoseQT(q.data, t.data), q, t, cv, m)
+                     for q, t, cv, m in (out[:4], out[4:]))

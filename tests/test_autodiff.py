@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,102 @@ class TestAccumFanOut:
         assert not np.shares_memory(a.grad, b.grad)
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+class TestRecordingSwitch:
+    def test_off_makes_plain_tensors(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with ad.recording(False):
+            y = (x * 2.0).exp().sum()
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert np.array_equal(y.data, np.exp(np.arange(3.0) * 2.0).sum())
+
+    def test_restored_on_exit_and_on_error(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.recording(False):
+                with ad.recording(True):
+                    assert (x * 1.0).requires_grad
+                assert not (x * 1.0).requires_grad
+                raise RuntimeError
+        assert (x * 1.0).requires_grad
+
+    def test_each_thread_has_its_own_setting(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append((x * 1.0).requires_grad))
+        with ad.recording(False):
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive() and seen == [True]
+
+
+def _two_outputs(a, b):
+    h = (a * b).exp()
+    return [h.sum(axis=1), (h * a).softmax(axis=0)]
+
+
+class TestReplay:
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        self.a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        self.b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        self.w = rng.normal(size=(4, 3))
+
+    def loss(self, outs):
+        return outs[0].sum() + (outs[1] * Tensor(self.w)).sum() + outs[0].norm_l2()
+
+    def grads(self, outs):
+        self.a.grad = self.b.grad = None
+        self.loss(outs).backward()
+        return self.a.grad, self.b.grad
+
+    def test_outputs_and_gradients_match_the_recorded_function(self):
+        want = _two_outputs(self.a, self.b)
+        want_data = [o.data.copy() for o in want]
+        want_grads = self.grads(want)
+        got = ad.replay(lambda: _two_outputs(self.a, self.b), [self.a, self.b])
+        for g, w in zip(got, want_data):
+            np.testing.assert_array_equal(g.data, w)
+        for g, w in zip(self.grads(got), want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+
+    def test_forward_records_one_node_per_output_and_one_for_the_replay(self):
+        outs = ad.replay(lambda: _two_outputs(self.a, self.b), [self.a, self.b])
+        node = outs[0]._parents[0]
+        assert all(o._parents == (node,) for o in outs)
+        assert node._parents == (self.a, self.b)
+
+    def test_gradient_through_one_output_only(self):
+        self.a.grad = self.b.grad = None
+        _two_outputs(self.a, self.b)[1].sum().backward()
+        want = self.a.grad, self.b.grad
+        self.a.grad = self.b.grad = None
+        ad.replay(lambda: _two_outputs(self.a, self.b), [self.a, self.b])[1].sum().backward()
+        for g, w in zip((self.a.grad, self.b.grad), want):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0.0)
+
+    def test_input_without_grad_is_not_a_parent(self):
+        c = Tensor(self.b.data)
+        outs = ad.replay(lambda: _two_outputs(self.a, c), [self.a, c])
+        assert outs[0]._parents[0]._parents == (self.a,)
+
+    def test_changed_input_raises_graph_consumed(self):
+        outs = ad.replay(lambda: _two_outputs(self.a, self.b), [self.a, self.b])
+        self.a.data[0, 0] += 1e-3
+        with pytest.raises(GraphConsumed):
+            self.loss(outs).backward()
+
+    def test_stops_at_a_non_leaf_input(self):
+        # `y` is also used outside the replay: its own backward must run once,
+        # in the outer pass, after both uses have sent it their gradient
+        def run(x, replayed):
+            y = x * 3.0
+            fn = lambda: _two_outputs(y, Tensor(self.b.data))
+            outs = ad.replay(fn, [y]) if replayed else fn()
+            (self.loss(outs) + (y * y).sum()).backward()
+            return x.grad
+
+        got = run(Tensor(self.a.data.copy(), requires_grad=True), True)
+        want = run(Tensor(self.a.data.copy(), requires_grad=True), False)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -96,6 +96,38 @@ class TestTrainEval:
             b = open(str(root / "r2") + suffix, "rb").read()
             assert a == b
 
+    def test_eval_reads_each_scene_when_it_is_evaluated(self, trained, capsys,
+                                                        monkeypatch):
+        import im2pc.cli as cli
+        data, ckpt, root = trained
+        events, read, call = [], cli.read_scene, cli.RegistrationNet.__call__
+        monkeypatch.setattr(cli, "read_scene", lambda d: events.append("read") or read(d))
+        monkeypatch.setattr(cli.RegistrationNet, "__call__",
+                            lambda *a, **k: events.append("forward") or call(*a, **k))
+        assert main(["eval", "--data", data, "--ckpt", ckpt,
+                     "--out", str(root / "streamed")]) == 0
+        capsys.readouterr()
+        assert events == ["read", "forward"] * 3
+
+    def test_eval_scores_decalibration_only_when_every_scene_is_one(self, trained,
+                                                                   tmp_path, capsys):
+        _, ckpt, _ = trained
+        data = tmp_path / "d"
+        assert main(["gen", "--out", str(data), "--n", "2", "--mode", "decalib",
+                     "--points", "64"]) == 0
+        shutil.copytree(data, tmp_path / "mixed")
+        assert main(["gen", "--out", str(tmp_path / "coarse"), "--n", "1",
+                     "--points", "64"]) == 0
+        shutil.copytree(tmp_path / "coarse" / "scene_0000", tmp_path / "mixed" / "scene_0002")
+        heads = []
+        for name in ("d", "mixed"):
+            assert main(["eval", "--data", str(tmp_path / name), "--ckpt", ckpt,
+                         "--out", str(tmp_path / name) + "_r"]) == 0
+            heads.append(open(str(tmp_path / name) + "_r_metrics.csv").readline())
+        capsys.readouterr()
+        assert heads[0].rstrip().endswith(",msee,mrr")
+        assert "msee" not in heads[1]
+
     def test_infer_output_format(self, trained, capsys):
         data, ckpt, root = trained
         scene = os.path.join(data, "scene_0000")

@@ -103,7 +103,8 @@ class TestSynthScene:
         D.SceneConfig(n_points=64, height=4, width=6, depth_range=(3.0, 3.0)),
         D.SceneConfig(n_points=512),
         D.SceneConfig(n_points=1),
-    ], ids=["crowded", "equal_depths", "desk", "one_point"])
+        D.SceneConfig(n_points=16384),
+    ], ids=["crowded", "equal_depths", "desk", "one_point", "dense"])
     def test_image_matches_the_z_buffer_loop(self, cfg):
         for seed in range(20):
             # synth_scene's draws and colours, then a per-point z-buffer

@@ -14,7 +14,7 @@ import im2pc.geometry as G
 from im2pc.autodiff import Tensor
 from im2pc.config import TrainConfig, desk_config
 from im2pc.data import SceneConfig, synth_scene
-from im2pc.errors import DegenerateQuaternion, IndexMismatch, NonFiniteLoss
+from im2pc.errors import DegenerateQuaternion, GraphConsumed, IndexMismatch, NonFiniteLoss
 from im2pc.sampling import PointCloud
 from im2pc.training import LossParams, total_loss, train as run_train
 from util import finite_diff, rel_err
@@ -229,8 +229,8 @@ class TestNetwork:
             assert abs(np.linalg.norm(stage.q_t.data) - 1.0) < 1e-12
 
     def test_eval_forward_peak_memory(self):
-        # an eval graph keeps only what its backward needs in eval mode: norms
-        # and max reductions recompute theirs, so whole-graph memory stays small
+        # an eval forward records no graph, so each activation is freed once
+        # its consumer ran: 1.9 MB, where the recorded graph peaked at 11.9 MB
         net = R.RegistrationNet(desk_config(), seed=0)
         scene = synth_scene(10_003, SceneConfig(n_points=512))
         geo = net.geometry(scene.cloud, scene.image, scene.K)
@@ -240,8 +240,8 @@ class TestNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert outputs[1].q_t.requires_grad  # the whole graph is still held
-        assert peak < 15e6, f"eval forward peaked at {peak / 1e6:.1f} MB"
+        assert outputs[1].q_t.requires_grad  # a backward replays the forward
+        assert peak <= 4e6, f"eval forward peaked at {peak / 1e6:.1f} MB"
 
     def test_train_step_peak_memory(self):
         # a train graph holds each activation once (norms and convolutions
@@ -270,6 +270,23 @@ class TestNetwork:
         made = count_nodes(monkeypatch)
         net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
         assert 0 < made[0] <= 200, made[0]
+
+    def test_eval_forward_records_one_replay_node(self, monkeypatch):
+        # the eight stage outputs and the replay node that recomputes them;
+        # a recorded eval graph carried 174 backwards
+        net = R.RegistrationNet(desk_config(), seed=0)
+        scene = synth_scene(10_003, SceneConfig(n_points=512))
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        recorded, make = [0], Tensor._make
+
+        def counted(*args):
+            out = make(*args)
+            recorded[0] += out._backward is not None
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
+        net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
+        assert 0 < recorded[0] <= 10, recorded[0]
 
     def test_train_forward_node_count(self, monkeypatch):
         # A4's config, a forward with its loss: 396 nodes when composed
@@ -335,16 +352,21 @@ def stage_arrays(coarse, fine):
         [st.pose.q for st in (coarse, fine)] + [st.pose.t for st in (coarse, fine)]
 
 
-def forward_and_grads(net, scene, train, geometry):
-    """Stage outputs and every parameter gradient of one forward + backward."""
+def loss_grads(net, scene, coarse, fine):
+    """Every parameter gradient of the loss on these stage outputs."""
     lp = LossParams()
     params = net.named_parameters() + lp.named_parameters()
     for p in params:
         p.grad = None
+    total_loss(coarse, fine, scene.gt_pose.inverse(), lp).backward()
+    return [p.grad for p in params]
+
+
+def forward_and_grads(net, scene, train, geometry):
+    """Stage outputs and every parameter gradient of one forward + backward."""
     coarse, fine = net(scene.cloud, scene.image, scene.K, train=train,
                        rng=np.random.default_rng(0), geometry=geometry)
-    total_loss(coarse, fine, scene.gt_pose.inverse(), lp).backward()
-    return stage_arrays(coarse, fine), [p.grad for p in params]
+    return stage_arrays(coarse, fine), loss_grads(net, scene, coarse, fine)
 
 
 def count_calls(monkeypatch, targets):
@@ -366,6 +388,48 @@ def count_calls(monkeypatch, targets):
 SEARCHES = [(P, "cell_sample"), (P, "projection_aware_knn"),
             (CV, "projection_aware_knn"), (CV, "knn_pixel_candidates"),
             (R, "spherical_project_many")]
+
+
+def composed_eval(net, scene, geo):
+    """The eval stages called one by one, recording their whole graph."""
+    img_l, pt_l = net.extract(scene.cloud, scene.image, scene.K, geo, train=False)
+    coarse = net.run_coarse(img_l, pt_l, geo, train=False)
+    return coarse, net.run_fine(img_l, pt_l, coarse, geo, train=False)
+
+
+class TestEvalReplay:
+    @pytest.mark.parametrize("n_points", [20, 512])
+    def test_matches_the_composed_stages(self, n_points):
+        net = R.RegistrationNet(desk_config(), seed=6)
+        scene = synth_scene(11, SceneConfig(n_points=n_points))
+        geo = net.geometry(scene.cloud, scene.image, scene.K)
+        want = composed_eval(net, scene, geo)
+        got = net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
+        for g, w in zip(stage_arrays(*got), stage_arrays(*want)):
+            np.testing.assert_array_equal(g, w)
+        # the replay's backward sums a node's gradients in another order
+        checked = 0
+        for g, w in zip(loss_grads(net, scene, *got), loss_grads(net, scene, *want)):
+            if np.linalg.norm(w) > 1e-10:
+                assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("change", [None, "parameter", "buffer"])
+    def test_backward_refuses_a_model_changed_after_the_forward(self, change):
+        net = R.RegistrationNet(desk_config(), seed=6)
+        scene = synth_scene(12, SceneConfig(n_points=128))
+        coarse, fine = net(scene.cloud, scene.image, scene.K, train=False)
+        if change == "parameter":
+            net.regress_fine.q_head.weight.data[0, 0] += 1e-3
+        elif change == "buffer":
+            net.oe_mlp.norms[0].running_mean = net.oe_mlp.norms[0].running_mean + 1e-3
+        if change is None:
+            grads = loss_grads(net, scene, coarse, fine)
+            assert all(g is not None for g in grads)
+        else:
+            with pytest.raises(GraphConsumed):
+                loss_grads(net, scene, coarse, fine)
 
 
 class TestSceneGeometry:
