@@ -38,6 +38,10 @@ class EmptyLevel(Im2pcError):
     pass
 
 
+class OffGrid(Im2pcError):
+    pass
+
+
 class NoCandidates(Im2pcError):
     pass
 

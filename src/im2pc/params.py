@@ -36,12 +36,15 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Composable holder of parameters and submodules."""
+    """Composable holder of parameters and submodules. An attribute whose
+    name starts with an underscore is a cache, not part of the tree."""
 
     def named_parameters(self):
         out = []
         seen = set()
-        for attr in vars(self).values():
+        for name, attr in vars(self).items():
+            if name.startswith("_"):
+                continue
             items = attr if isinstance(attr, (list, tuple)) else [attr]
             for item in items:
                 if isinstance(item, Parameter):
@@ -57,7 +60,9 @@ class Module:
     def named_buffers(self):
         """(name, owner, attr) triples for non-trainable state arrays."""
         out = []
-        for attr in vars(self).values():
+        for name, attr in vars(self).items():
+            if name.startswith("_"):
+                continue
             items = attr if isinstance(attr, (list, tuple)) else [attr]
             for item in items:
                 if isinstance(item, Module):

@@ -7,6 +7,7 @@ backward reaches them."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -184,6 +185,12 @@ class RegistrationNet(Module):
                                    final_linear=True)
         self.regress_fine = PoseRegressor("fine.pose", width, MIDDLE_DIM, rng)
 
+    @functools.cached_property
+    def _params(self):
+        """The eval replay's parameter inputs, listed at the first eval
+        forward: the module tree is fixed after __init__."""
+        return self.named_parameters()
+
     # -- stages -------------------------------------------------------------
 
     def geometry(self, cloud: PointCloud, image, K: CameraIntrinsics) -> SceneGeometry:
@@ -268,8 +275,7 @@ class RegistrationNet(Module):
 
         if train:
             return stages()
-        inputs = self.named_parameters() + [x for x in (image, cloud.features)
-                                            if isinstance(x, Tensor)]
+        inputs = self._params + [x for x in (image, cloud.features) if isinstance(x, Tensor)]
         out = ad.replay(lambda: [a for st in stages() for a in
                                  (st.q_t, st.t_t, st.cost_volume, st.mask_logits)], inputs)
         return tuple(StageOutput(PoseQT(q.data, t.data), q, t, cv, m)

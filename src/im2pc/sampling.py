@@ -3,13 +3,24 @@
 cell_sample and projection-aware KNN follow the spherical-grid scheme:
 the azimuth axis wraps modulo W, elevation clamps. cell_sample keeps the
 first point of each cell through a table indexed by cell key, without
-sorting the keys. Projection-aware KNN visits only the cells of each
-center's kernel window; brute-force KNN searches every candidate. Both
-order neighbours by (distance, index), pad k > candidate count with the
-nearest valid index, and take centers in row chunks of at most _CHUNK_PAIRS
-center-candidate pairs, written into preallocated (M, k) outputs. So a
-search's working memory is that constant plus its outputs, not M * N, and
-the constant is small enough that a chunk's passes run in cache.
+sorting the keys. Projection-aware KNN refuses coordinates off the H x W
+grid, and brute-force KNN searches every candidate. Every search orders
+neighbours by (distance, index) and pads k > candidate count with the
+nearest valid index, on one of two paths chosen by its M * N
+center-candidate pairs:
+
+- a search of at most _DIRECT_PAIRS pairs (_DIRECT_BRUTE_PAIRS for brute
+  force) takes every pair's distance at once, out-of-window pairs set to
+  NaN, and sorts each row with a stable argsort. At this size numpy's
+  per-call overhead, not the pairs, sets the cost, and this path makes the
+  fewest calls.
+- a larger one takes centers in row chunks of at most _CHUNK_PAIRS pairs,
+  written into preallocated (M, k) outputs; projection-aware KNN then
+  visits only the cells of each center's kernel window. So a search's
+  working memory is that constant plus its outputs, not M * N, and the
+  constant is small enough that a chunk's passes run in cache.
+
+Both paths give bitwise the same indices and masks.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import EmptyLevel, MissingSpherical
+from .errors import EmptyLevel, MissingSpherical, OffGrid
 from .geometry import SphericalConfig
 
 # center-candidate pairs in one row chunk of a KNN search, ~25 bytes each over
@@ -29,6 +40,15 @@ from .geometry import SphericalConfig
 # 16,384-point cloud's level-1 search (~200k pairs) ran ~1.4x faster than in
 # one piece; at 2^13 per-chunk overhead made it slower again.
 _CHUNK_PAIRS = 1 << 15
+# center-candidate pairs up to which a search takes the direct path, whose
+# stable sort of every pair costs ~10-50 ns a pair. In a warm loop on the
+# same Xeon it beat the windowed path ~2x up to 3.4k pairs and by 5-30% at
+# 5.4k-9.1k, and lost from 12.8k pairs on. Brute force's single chunk costs
+# less than the window lookup, so its crossover comes sooner: the direct path
+# won at 0.5k-2k pairs of 32 candidates a row, tied at 2k pairs of 64, and
+# took 1.9x the chunk's time at 4k pairs of 128.
+_DIRECT_PAIRS = 1 << 13
+_DIRECT_BRUTE_PAIRS = 1 << 11
 
 
 @dataclass
@@ -121,12 +141,33 @@ def _row_chunks(m, width):
 
 def _knn_select(centers, candidates, k, max_sq):
     """Per-center k-nearest among every candidate within sqrt(max_sq), in
-    _row_chunks slices written into (M, k) index and mask outputs."""
+    _row_chunks slices written into (M, k) index and mask outputs, or on the
+    direct path for a search of at most _DIRECT_BRUTE_PAIRS pairs."""
+    if centers.shape[0] * candidates.shape[0] <= _DIRECT_BRUTE_PAIRS:
+        return _direct_select(centers, candidates, k, max_sq, None)
     idx = np.empty((centers.shape[0], k), dtype=np.intp)
     mask = np.empty((centers.shape[0], k), dtype=bool)
     block = np.arange(candidates.shape[0])[None]
     for r in _row_chunks(centers.shape[0], candidates.shape[0]):
         _select_chunk(idx[r], mask[r], centers[r], candidates.T, block, None, k, max_sq)
+    _pad(idx, mask, centers, candidates)
+    return idx, mask
+
+
+def _direct_select(centers, candidates, k, max_sq, outside):
+    """_knn_select in one piece: every (M, N) distance, the pairs of the
+    boolean `outside` (None: no pair) set to NaN, then one stable argsort a
+    row. A stable sort breaks distance ties by column, which is the
+    candidate index, and sorts NaN last, so each row comes out in
+    _select_chunk's (distance, index) order."""
+    n = candidates.shape[0]
+    d = _sq_dist(centers, candidates.T, np.arange(n)[None])
+    if outside is not None:
+        np.copyto(d, np.nan, where=outside)
+    idx = np.zeros((len(d), k), dtype=np.intp)
+    idx[:, :n] = np.argsort(d, axis=1, kind="stable")[:, :k]
+    # a row's kept pairs sort before the rest
+    mask = np.arange(k) < np.count_nonzero(d <= max_sq, axis=1)[:, None]
     _pad(idx, mask, centers, candidates)
     return idx, mask
 
@@ -178,6 +219,8 @@ def _pad(idx, mask, centers, candidates):
 def brute_force_knn(centers: np.ndarray, candidates: np.ndarray, k: int,
                     max_dist: float = np.inf):
     """Exact k-nearest by 3D distance; ties break to the lower index."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.float64).reshape(-1, 3)
     if candidates.shape[0] == 0:
@@ -191,19 +234,30 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
 
     A candidate is in a center's window when its row is within kh // 2 of
     the center's and its column within kw // 2, azimuth wrapping modulo W.
-    Candidates are sorted once by cell key v * W + u, coordinates included;
-    each window row is then at most two key ranges, looked up in a table of
-    each cell's first position, so the cost grows with the window
-    population, not with M * N. Centers go in _row_chunks slices, first of
-    their window bounds, then of their padded windows, so memory stays
-    bounded however large the windows. Spherical coordinates must lie on the
-    grid (0 <= u < W), as spherical_project_many makes them.
+    Spherical coordinates must lie on the grid (0 <= u < W, 0 <= v < H), as
+    spherical_project_many makes them; others raise OffGrid.
+
+    A search of at most _DIRECT_PAIRS pairs tests every pair against the
+    window. A larger one sorts the candidates once by cell key v * W + u,
+    coordinates included; each window row is then at most two key ranges,
+    looked up in a table of each cell's first position, so the cost grows
+    with the window population, not with M * N. Centers go in _row_chunks
+    slices, first of their window bounds, then of their padded windows, so
+    memory stays bounded however large the windows.
     """
     if centers.spherical is None or candidates.spherical is None:
         raise MissingSpherical("projection-aware grouping needs spherical coordinates")
     n = candidates.count
     if n == 0:
         raise EmptyLevel("no candidate points")
+    _check_on_grid(candidates.spherical, cfg, "candidate")
+    if centers is not candidates:
+        _check_on_grid(centers.spherical, cfg, "center")
+    max_sq = spec.max_dist * spec.max_dist
+    if centers.count * n <= _DIRECT_PAIRS:
+        return _direct_select(centers.positions, candidates.positions, spec.k, max_sq,
+                              _outside_window(centers.spherical, candidates.spherical,
+                                              spec.kernel, cfg.W))
     W = cfg.W
     key = candidates.spherical[:, 1] * W + candidates.spherical[:, 0]
     order = np.argsort(key)  # order within a cell is free: ties sort by index later
@@ -218,7 +272,6 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
     # cell key c's candidates are first[c]:first[c + 1] in key order
     first = np.zeros((vhi + 1) * W + 1, dtype=np.intp)
     np.cumsum(np.bincount(key, minlength=(vhi + 1) * W), out=first[1:])
-    max_sq = spec.max_dist * spec.max_dist
     idx = np.empty((centers.count, spec.k), dtype=np.intp)
     mask = np.empty((centers.count, spec.k), dtype=bool)
     for r in _row_chunks(centers.count, 2 * R):
@@ -230,6 +283,22 @@ def projection_aware_knn(centers: PointCloud, candidates: PointCloud,
             _select_chunk(out_idx[s], out_mask[s], pos[s], coords, block, order, spec.k, max_sq)
     _pad(idx, mask, centers.positions, candidates.positions)
     return idx, mask
+
+
+def _check_on_grid(sph, cfg, what):
+    u = sph.astype(np.uint64)  # a negative coordinate wraps past every bound
+    if u[:, 0].max(initial=0) >= cfg.W or u[:, 1].max(initial=0) >= cfg.H:
+        raise OffGrid(f"{what} spherical coordinates off the {cfg.H} x {cfg.W} grid")
+
+
+def _outside_window(csph, sph, kernel, W):
+    """(M, N) mask of the center-candidate pairs outside the kernel window."""
+    kh, kw = kernel
+    out = np.abs(csph[:, 1:] - sph[:, 1]) > kh // 2
+    if kw < W:  # else the window spans the whole ring
+        du = np.abs(csph[:, :1] - sph[:, 0])
+        out |= np.minimum(du, W - du) > kw // 2
+    return out
 
 
 def _window_ranges(first, sph, kernel, W, vlo, R):

@@ -15,6 +15,7 @@ from im2pc.autodiff import Tensor
 from im2pc.config import TrainConfig, desk_config
 from im2pc.data import SceneConfig, synth_scene
 from im2pc.errors import DegenerateQuaternion, GraphConsumed, IndexMismatch, NonFiniteLoss
+from im2pc.params import Module
 from im2pc.sampling import PointCloud
 from im2pc.training import LossParams, total_loss, train as run_train
 from util import finite_diff, rel_err
@@ -414,6 +415,18 @@ class TestEvalReplay:
                 assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
                 checked += 1
         assert checked > 100
+
+    def test_two_forwards_walk_the_tree_at_most_once(self, monkeypatch):
+        net = R.RegistrationNet(desk_config(), seed=6)
+        scene = synth_scene(13, SceneConfig(n_points=64))
+        walks = []
+        walk = Module.named_parameters
+        monkeypatch.setattr(Module, "named_parameters",
+                            lambda self: walks.append(self) or walk(self))
+        for _ in range(2):
+            net(scene.cloud, scene.image, scene.K, train=False)
+        assert sum(m is net for m in walks) <= 1
+        assert net.named_parameters() == net._params
 
     @pytest.mark.parametrize("change", [None, "parameter", "buffer"])
     def test_backward_refuses_a_model_changed_after_the_forward(self, change):

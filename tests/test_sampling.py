@@ -6,15 +6,40 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import im2pc.cost_volume as CV
 import im2pc.sampling as S
-from im2pc.cli import MODE_CFG
+import test_acceptance
+from im2pc.cli import MODE_CFG, main as cli_main
+from im2pc.config import desk_config
 from im2pc.data import SceneConfig, synth_scene
-from im2pc.errors import MissingSpherical
+from im2pc.errors import EmptyLevel, MissingSpherical, NoCandidates, OffGrid
 from im2pc.geometry import SphericalConfig, spherical_project_many
-from im2pc.registration import POINT_GROUPINGS, SPHERICAL
+from im2pc.registration import POINT_GROUPINGS, SPHERICAL, RegistrationNet
 
 
 CFG = SphericalConfig(H=16, W=64, f_up=30.0, f_down=30.0)
+
+
+def set_direct(monkeypatch, on):
+    """Every search on the direct path (on), or on the windowed and chunked
+    paths however small."""
+    for name in ("_DIRECT_PAIRS", "_DIRECT_BRUTE_PAIRS"):
+        monkeypatch.setattr(S, name, 1 << 62 if on else -1)
+
+
+@pytest.fixture
+def windowed(monkeypatch):
+    """Tests of the windowed and chunked paths must not pass on the direct one."""
+    set_direct(monkeypatch, False)
+
+
+def both_paths(monkeypatch, search):
+    """search() on the direct path, then on the windowed or chunked one."""
+    out = []
+    for on in (True, False):
+        set_direct(monkeypatch, on)
+        out.append(search())
+    return out
 
 
 def make_cloud(rng, n, with_sph=True):
@@ -233,6 +258,7 @@ class TestProjectionAwareKnn:
             empty_rows += int((~ref_mask.any(axis=1)).sum())
         assert empty_rows > 0  # the no-valid-candidate fallback was exercised
 
+    @pytest.mark.usefixtures("windowed")
     def test_windowed_search_matches_reference(self):
         # small grids on which windows wrap, span the whole ring (kw >= W)
         # or every row (kh > 2H); lattice positions with duplicates give
@@ -282,6 +308,7 @@ class TestProjectionAwareKnn:
                 seen["ties"] += int(np.any(picked[1:] == picked[:-1]))
         assert all(v > 0 for v in seen.values()), seen
 
+    @pytest.mark.usefixtures("windowed")
     def test_windowed_search_allocates_no_m_by_n_array(self):
         cfg = SphericalConfig(H=16, W=256, f_up=30.0, f_down=30.0)
         rng = np.random.default_rng(16)
@@ -300,6 +327,7 @@ class TestProjectionAwareKnn:
             tracemalloc.stop()
         assert peak < m * n  # less than one byte per (center, candidate) pair
 
+    @pytest.mark.usefixtures("windowed")
     def test_brute_force_peak_memory_is_bounded_by_the_chunk(self):
         rng = np.random.default_rng(17)
         m, n = 2048, 8192
@@ -316,6 +344,7 @@ class TestProjectionAwareKnn:
         assert peak < 40 * S._CHUNK_PAIRS + 2 * out  # 1.9 MB
 
     @pytest.mark.parametrize("kernel", ["full", "half"])
+    @pytest.mark.usefixtures("windowed")
     def test_windowed_peak_memory_is_bounded_by_the_chunk(self, kernel):
         cloud, cfg = bench_knn_cloud()
         (idx, mask), peak = traced_self_search(cloud, cfg, KERNELS[kernel](cfg))
@@ -324,6 +353,7 @@ class TestProjectionAwareKnn:
         # cache-sized chunk the (M, k) outputs are a third of the peak
         assert peak < 64 * S._CHUNK_PAIRS + 2 * (idx.nbytes + mask.nbytes)  # 4.4 MB
 
+    @pytest.mark.usefixtures("windowed")
     def test_window_bounds_are_built_per_chunk(self, monkeypatch):
         # at a small chunk the (M, 2 * kh) window bounds of all 8000 centers
         # (~37 MB) would dominate; only the output still grows with M
@@ -332,6 +362,7 @@ class TestProjectionAwareKnn:
         (idx, mask), peak = traced_self_search(cloud, cfg, KERNELS["half"](cfg))
         assert peak < 64 * S._CHUNK_PAIRS + 2 * (idx.nbytes + mask.nbytes)  # 6.5 MB
 
+    @pytest.mark.usefixtures("windowed")
     def test_many_chunks_match_reference(self, monkeypatch):
         # chunks of one to a few rows; windows of one row wider than a chunk,
         # rows with nothing in radius, and k above the candidate count
@@ -355,6 +386,7 @@ class TestProjectionAwareKnn:
                 short_rows += int((~ref[1].all(axis=1)).sum())
         assert empty_rows > 0 and short_rows > 0
 
+    @pytest.mark.usefixtures("windowed")
     def test_full_window_equals_brute_force(self, monkeypatch):
         # windows that hold every candidate are still gathered window by
         # window, so this comparison checks the windowed search
@@ -402,6 +434,135 @@ class TestProjectionAwareKnn:
         assert mask[0].tolist() == [True, False, False, False]
 
 
+class TestDirectPath:
+    """The direct path of small searches, with the windowed and chunked
+    paths as its oracle."""
+
+    def test_both_paths_agree(self, monkeypatch):
+        # small grids on which windows wrap or span the whole ring, lattice
+        # positions with distance ties, NaN positions, empty center sets and
+        # k above the candidate count
+        rng = np.random.default_rng(19)
+        seen = dict(wrap=0, ring=0, ties=0, short=0, radius=0, nan=0, no_centers=0)
+        for trial in range(600):
+            H, W = int(rng.integers(1, 8)), int(rng.integers(1, 20))
+            cfg = SphericalConfig(H=H, W=W, f_up=30.0, f_down=30.0)
+            kernel = (2 * int(rng.integers(0, H + 2)) + 1,
+                      2 * int(rng.integers(0, W // 2 + 2)) + 1)
+            k = int(rng.integers(1, 12))
+            max_dist = np.inf if trial % 3 == 0 else float(rng.uniform(0.3, 4.0))
+            n, m = int(rng.integers(1, 50)), int(rng.integers(0, 30))
+            if trial % 2:
+                pos = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+            else:
+                pos = rng.normal(size=(n, 3)) * 2.0
+            if trial % 5 == 0:
+                pos[rng.integers(0, n, size=max(1, n // 5))] = np.nan
+            sph = np.stack([rng.integers(0, W, n), rng.integers(0, H, n)], axis=1)
+            cands = S.PointCloud(pos, np.zeros((n, 1)), spherical=sph)
+            if trial % 4 == 0:
+                centers = cands
+            else:
+                csph = np.stack([rng.integers(0, W, m), rng.integers(0, H, m)], axis=1)
+                centers = S.PointCloud(rng.integers(-3, 4, size=(m, 3)) * 1.0,
+                                       np.zeros((m, 1)), spherical=csph)
+            spec = S.GroupingSpec(k, kernel, max_dist)
+            searches = (lambda: S.projection_aware_knn(centers, cands, spec, cfg),
+                        lambda: S.brute_force_knn(centers.positions, pos, k, max_dist))
+            for search in searches:
+                (idx, mask), (ref_idx, ref_mask) = both_paths(monkeypatch, search)
+                assert idx.dtype == ref_idx.dtype and idx.shape == (centers.count, k)
+                np.testing.assert_array_equal(idx, ref_idx, err_msg=f"trial {trial}")
+                np.testing.assert_array_equal(mask, ref_mask, err_msg=f"trial {trial}")
+            d = ((centers.positions[:, None] - pos[None]) ** 2).sum(axis=2)
+            picked = np.take_along_axis(d, ref_idx, axis=1)
+            seen["wrap"] += 1 < kernel[1] < W
+            seen["ring"] += kernel[1] >= W > 1
+            seen["ties"] += int((mask[:, 1:] & (picked[:, 1:] == picked[:, :-1])).any())
+            seen["short"] += k > n
+            seen["radius"] += bool((d > max_dist ** 2).any())
+            seen["nan"] += int(np.isnan(pos).any())
+            seen["no_centers"] += centers.count == 0
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_pixel_candidates_agree(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        for trial in range(50):
+            pbar = rng.normal(size=(int(rng.integers(0, 40)), 2))
+            plane = np.round(rng.normal(size=(int(rng.integers(16, 80)), 2)), 1)
+            search = lambda: CV.knn_pixel_candidates(pbar, plane, 16)
+            direct, chunked = both_paths(monkeypatch, search)
+            np.testing.assert_array_equal(direct, chunked, err_msg=f"trial {trial}")
+
+    def test_desk_searches_take_the_direct_path(self, monkeypatch):
+        # every search of a desk forward but those of the two finest levels
+        calls = []
+        direct, ranges = S._direct_select, S._window_ranges
+        monkeypatch.setattr(S, "_direct_select", lambda *a: calls.append("direct") or direct(*a))
+        monkeypatch.setattr(S, "_window_ranges", lambda *a: calls.append("windowed") or ranges(*a))
+        scene = synth_scene(3, SceneConfig(n_points=512, **MODE_CFG["coarse"]))
+        RegistrationNet(desk_config())(scene.cloud, scene.image, scene.K)
+        # the windowed searches take one row chunk each
+        assert calls.count("direct") == 8 and calls.count("windowed") == 2
+
+    def test_a2_and_bench_knn_reach_the_windowed_path(self, monkeypatch, capsys):
+        # both check the windowed search against brute force; centers each
+        # path searched, counted where the paths split
+        centers = {"direct": 0, "windowed": 0}
+        direct, ranges = S._direct_select, S._window_ranges
+
+        def count_direct(c, x, k, max_sq, outside):
+            centers["direct"] += len(c) if outside is not None else 0
+            return direct(c, x, k, max_sq, outside)
+
+        def count_windowed(first, sph, *a):
+            centers["windowed"] += len(sph)
+            return ranges(first, sph, *a)
+
+        monkeypatch.setattr(S, "_direct_select", count_direct)
+        monkeypatch.setattr(S, "_window_ranges", count_windowed)
+        test_acceptance.test_a2_grouping_exactness(capsys)
+        assert centers["windowed"] > 0.9 * (centers["windowed"] + centers["direct"])
+        centers.update(direct=0, windowed=0)
+        assert cli_main(["bench-knn", "--n", "400", "--trials", "2", "--k", "8"]) == 0
+        capsys.readouterr()
+        assert centers == {"direct": 0, "windowed": 2 * 2 * 400}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("path", ["direct", "windowed"])
+    @pytest.mark.parametrize("which,u,v", [
+        ("candidates", CFG.W, 0), ("candidates", -1, 0), ("candidates", 0, -1),
+        ("candidates", 0, CFG.H), ("centers", CFG.W, 0), ("centers", 0, -2),
+        ("centers", 0, CFG.H)])
+    def test_off_grid_coordinates(self, monkeypatch, path, which, u, v):
+        set_direct(monkeypatch, path == "direct")
+        rng = np.random.default_rng(21)
+        clouds = {"centers": make_cloud(rng, 5), "candidates": make_cloud(rng, 30)}
+        clouds[which].spherical[2] = (u, v)
+        with pytest.raises(OffGrid):
+            S.projection_aware_knn(clouds["centers"], clouds["candidates"],
+                                   S.GroupingSpec(4, (3, 5)), CFG)
+
+    @pytest.mark.parametrize("path", ["direct", "windowed"])
+    def test_missing_and_empty_inputs(self, monkeypatch, path):
+        set_direct(monkeypatch, path == "direct")
+        rng = np.random.default_rng(22)
+        spec = S.GroupingSpec(4, (3, 5))
+        with pytest.raises(MissingSpherical):
+            S.projection_aware_knn(make_cloud(rng, 3), make_cloud(rng, 4, False), spec, CFG)
+        with pytest.raises(EmptyLevel):
+            S.projection_aware_knn(make_cloud(rng, 3), make_cloud(rng, 0), spec, CFG)
+        with pytest.raises(NoCandidates):
+            CV.knn_pixel_candidates(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)), 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_brute_force_refuses_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            S.brute_force_knn(np.zeros((2, 3)), np.ones((3, 3)), k)
+
+
+@pytest.mark.usefixtures("windowed")
 class TestDenseScale:
     """The level-1 sampling and search of a 16,384-point scene, as the dense
     benchmark runs them, against other chunk sizes and the sort-based
