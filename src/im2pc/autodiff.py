@@ -13,10 +13,11 @@ without a graph, and only a backward through its outputs runs the function
 again with recording on (the recompute trade of Chen et al., 2016, "Training
 Deep Nets with Sublinear Memory Cost", applied to a whole forward).
 
-The generic ops live here: arithmetic, reshape, sum, max, softmax, gather,
-concat, conv, pool, dropout. A fixed formula with a closed-form backward is
-one node where it is used: registration's pose ops, cost_volume.standardize,
-nn_blocks' normed layers.
+The generic ops live here: broadcasting + and *, reshape, broadcast_to, sum,
+max, softmax, gather, concat, conv, pool, dropout. A fixed formula with a
+closed-form backward is one node where it is used: registration's pose ops,
+cost_volume.standardize and lst_offsets, nn_blocks' normed layers, and
+training.single_loss.
 """
 
 from __future__ import annotations
@@ -122,15 +123,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g):
-            self._accum(-g)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
     def __mul__(self, other):
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -144,40 +136,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / other.data**2, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accum(g * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            self._accum(g * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def abs(self):
-        def backward(g):
-            self._accum(g * np.sign(self.data))
-
-        return Tensor._make(np.abs(self.data), (self,), backward)
 
     # -- shape --------------------------------------------------------------
 
@@ -221,12 +179,6 @@ class Tensor:
             self.grad += gexp
 
         return Tensor._make(self.data.max(axis=axis), (self,), backward)
-
-    def norm_l1(self):
-        return self.abs().sum()
-
-    def norm_l2(self):
-        return (self * self).sum().sqrt()
 
     def softmax(self, axis):
         shifted = self.data - self.data.max(axis=axis, keepdims=True)

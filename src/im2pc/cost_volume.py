@@ -74,6 +74,24 @@ def standardize(x: Tensor) -> Tensor:
     return Tensor._make(z, (x,), backward)
 
 
+def lst_offsets(pos: Tensor, idx: np.ndarray) -> Tensor:
+    """(p_i, p_m, p_m - p_i, |p_m - p_i|) for each point i and each of its
+    (N, k2) neighbour rows `idx`, as one (N, k2, 10) node. The offset's
+    gradient reaches p_i as a sum over the k2 slots and p_m as a scatter."""
+    N, k2 = idx.shape
+    p_m = pos.data[idx]
+    p_i = np.broadcast_to(pos.data.reshape(N, 1, 3), (N, k2, 3))
+    rel = p_m - p_i
+    dist = np.sqrt((rel * rel).sum(axis=2, keepdims=True) + 1e-24)
+
+    def backward(g):
+        g_rel = g[..., 6:9] + g[..., 9:] / dist * rel
+        pos._accum((g[..., :3] - g_rel).sum(axis=1) +
+                   ad.scatter_rows(idx, g[..., 3:6] + g_rel, N))
+
+    return Tensor._make(np.concatenate([p_i, p_m, rel, dist], axis=2), (pos,), backward)
+
+
 def inverse_similarity(point_feats: Tensor, pixel_feats: Tensor) -> Tensor:
     """Per-pixel channel-wise max over all points of f (*) g (raw features)."""
     prod = point_feats.reshape(point_feats.shape[0], 1, -1) * \
@@ -164,8 +182,7 @@ class CostVolumeModule(Module):
 
         if self.spec.mode == "all":
             k1 = M
-            s = zf.reshape(N, 1, -1).broadcast_to((N, M, self.image_dim)) * \
-                zg.reshape(1, M, -1).broadcast_to((N, M, self.image_dim))
+            s = zf.reshape(N, 1, -1) * zg.reshape(1, M, -1)
             hhat = inverse_similarity(fa, g)                 # (M, C)
             parts = [s, hhat.reshape(1, M, -1).broadcast_to((N, M, self.image_dim))]
             o_cand = obar.reshape(1, M, 2).broadcast_to((N, M, 2))
@@ -173,7 +190,7 @@ class CostVolumeModule(Module):
             if pixels is None:
                 raise IndexMismatch("knn mode needs the pixel candidates of `neighbours`")
             k1 = self.spec.k
-            s = zf.reshape(N, 1, -1).broadcast_to((N, k1, self.image_dim)) * zg.gather(pixels)
+            s = zf.reshape(N, 1, -1) * zg.gather(pixels)
             parts = [s]
             o_cand = obar.gather(pixels)
         p_cand = pos_t.reshape(N, 1, 3).broadcast_to((N, k1, 3))
@@ -193,12 +210,7 @@ class CostVolumeModule(Module):
         if idx.shape[0] != N:
             raise IndexMismatch(f"{idx.shape[0]} LST groups vs {N} points")
         k2 = idx.shape[1]
-        p_m = pos_t.gather(idx)                              # (N, k2, 3)
-        p_i = pos_t.reshape(N, 1, 3).broadcast_to((N, k2, 3))
-        rel = p_m - p_i
-        dist = ((rel * rel).sum(axis=2, keepdims=True) + 1e-24).sqrt()
-        u = ad.concat([p_i, p_m, rel, dist], axis=2)
-        b = self.b_fc(u)
+        b = self.b_fc(lst_offsets(pos_t, idx))
         ic_m = ic.gather(idx)
         f_i = f.reshape(N, 1, -1).broadcast_to((N, k2, f.shape[-1]))
         logits = self.lst_mlp(ad.concat([f_i, b, ic_m], axis=2), train)

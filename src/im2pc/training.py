@@ -23,11 +23,24 @@ class LossParams(Module):
 
 
 def single_loss(q: Tensor, t: Tensor, gt: PoseQT, lp: LossParams) -> Tensor:
-    """|q_gt - q|_2 * exp(-s_q) + s_q + |t_gt - t|_1 * exp(-s_t) + s_t."""
-    dq = (q - Tensor(gt.q)).norm_l2()
-    dt = (t - Tensor(gt.t)).norm_l1()
+    """|q_gt - q|_2 * exp(-s_q) + s_q + |t_gt - t|_1 * exp(-s_t) + s_t, as
+    one node (the learned-scale pose loss of Kendall & Cipolla, 2017)."""
     sq, st = lp.s_q, lp.s_t
-    return dq * (-sq).exp() + sq + dt * (-st).exp() + st
+    d_q, d_t = q.data - gt.q, t.data - gt.t
+    dq, dt = np.sqrt((d_q * d_q).sum()), np.abs(d_t).sum()
+    eq, et = np.exp(-sq.data), np.exp(-st.data)
+
+    def backward(g):
+        if q.requires_grad:
+            q._accum(g * eq / dq * d_q)
+        if t.requires_grad:
+            t._accum(g * et * np.sign(d_t))
+        if sq.requires_grad:
+            sq._accum(g - g * dq * eq)
+        if st.requires_grad:
+            st._accum(g - g * dt * et)
+
+    return Tensor._make(dq * eq + sq.data + dt * et + st.data, (q, t, sq, st), backward)
 
 
 def total_loss(coarse: StageOutput, fine: StageOutput, gt: PoseQT,

@@ -97,6 +97,35 @@ class TestStandardize:
                                    CV.standardize(Tensor(x)).data, rtol=0, atol=1e-12)
 
 
+class TestLstOffsets:
+    # rows 0 and 3 are padded: their last slots repeat a neighbour; row 2
+    # lists itself, so its offset is zero and its distance 1e-12
+    IDX = np.array([[1, 4, 4], [2, 0, 3], [2, 4, 1], [1, 1, 1], [0, 3, 2]])
+
+    def test_one_node_matches_the_composed_numpy(self):
+        pos = np.random.default_rng(12).normal(size=(5, 3)) * 2.0
+        want = np.empty((5, 3, 10))
+        for i in range(5):
+            for j, m in enumerate(self.IDX[i]):
+                rel = pos[m] + (-pos[i])
+                dist = np.sqrt((rel * rel).sum() + 1e-24)
+                want[i, j] = np.concatenate([pos[i], pos[m], rel, [dist]])
+        got = CV.lst_offsets(Tensor(pos), self.IDX).data
+        np.testing.assert_array_equal(got, want)
+
+    def test_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(13)
+        pos = rng.normal(size=(5, 3)) * 2.0
+        w = rng.normal(size=(5, 3, 10))
+        t = Tensor(pos, requires_grad=True)
+        (CV.lst_offsets(t, self.IDX) * Tensor(w)).sum().backward()
+
+        def loss():
+            return float((CV.lst_offsets(Tensor(pos), self.IDX).data * w).sum())
+
+        assert rel_err(t.grad, finite_diff(loss, pos)) < 1e-7
+
+
 class TestInverseSimilarity:
     def test_duplicating_a_point_changes_nothing(self):
         rng = np.random.default_rng(2)

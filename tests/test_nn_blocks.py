@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import im2pc.nn_blocks as nn
-from im2pc.autodiff import Tensor, _unbroadcast
+from im2pc.autodiff import Tensor, _unbroadcast, as_tensor
 from im2pc.errors import ShapeMismatch
 from util import finite_diff, rel_err
 
@@ -97,6 +97,30 @@ def matmul(a, b):
     return Tensor._make(a.data @ b.data, (a, b), backward)
 
 
+def divide(a, b):
+    """a / b with broadcasting, as one graph node; like matmul, the package
+    has no such op."""
+    b = as_tensor(b)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-g * a.data / b.data**2, b.shape))
+
+    return Tensor._make(a.data / b.data, (a, b), backward)
+
+
+def sqrt(a):
+    """Elementwise square root as one graph node; the package has none either."""
+    out = np.sqrt(a.data)
+
+    def backward(g):
+        a._accum(g * 0.5 / out)
+
+    return Tensor._make(out, (a,), backward)
+
+
 def composed_linear(lin, x):
     return matmul(x, lin.weight) + lin.bias
 
@@ -107,16 +131,18 @@ def composed_norm_act(norm, x, train):
         flat = x.reshape(-1, x.shape[-1])
         n = flat.shape[0]
         ones = Tensor(np.ones(n))  # channel means as the same BLAS products
-        mu = matmul(ones, flat) / float(n)
-        var = matmul(ones, (flat - mu) * (flat - mu)) / float(n)
+        mu = divide(matmul(ones, flat), float(n))
+        centered = flat + mu * -1.0   # flat - mu, bitwise
+        var = divide(matmul(ones, centered * centered), float(n))
         norm.running_mean = (
             (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data
         )
         norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data
-        xn = (flat - mu) / (var + nn.NORM_EPS).sqrt()
+        xn = divide(centered, sqrt(var + nn.NORM_EPS))
         xn = xn.reshape(*x.shape)
     else:
-        xn = (x - Tensor(norm.running_mean)) / Tensor(np.sqrt(norm.running_var + nn.NORM_EPS))
+        xn = divide(x + Tensor(-norm.running_mean),
+                    Tensor(np.sqrt(norm.running_var + nn.NORM_EPS)))
     y = xn * norm.gamma + norm.beta
     return y * Tensor(np.where(y.data > 0, 1.0, nn.LEAKY_SLOPE))
 

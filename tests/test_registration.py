@@ -263,14 +263,14 @@ class TestNetwork:
         assert peak < 16e6, f"train step peaked at {peak / 1e6:.1f} MB"
 
     def test_eval_forward_node_count(self, monkeypatch):
-        # the pose algebra and standardize are one node each: a desk forward
-        # made 358 nodes while they were composed of small-array ops
+        # the pose algebra, standardize and the LST offsets are one node
+        # each (179 calls); a formula split back into small-array ops fails
         net = R.RegistrationNet(desk_config(), seed=0)
         scene = synth_scene(10_003, SceneConfig(n_points=512))
         geo = net.geometry(scene.cloud, scene.image, scene.K)
         made = count_nodes(monkeypatch)
         net(scene.cloud, scene.image, scene.K, train=False, geometry=geo)
-        assert 0 < made[0] <= 200, made[0]
+        assert 0 < made[0] <= 184, made[0]
 
     def test_eval_forward_records_one_replay_node(self, monkeypatch):
         # the eight stage outputs and the replay node that recomputes them;
@@ -290,7 +290,8 @@ class TestNetwork:
         assert 0 < recorded[0] <= 10, recorded[0]
 
     def test_train_forward_node_count(self, monkeypatch):
-        # A4's config, a forward with its loss: 396 nodes when composed
+        # A4's config, a forward with its loss (174 calls per scene): the
+        # pose loss is one node too
         cfg = desk_config()
         cfg.image_strides = ((2, 2), (2, 2), (1, 1))
         net = R.RegistrationNet(cfg, seed=0)
@@ -303,7 +304,7 @@ class TestNetwork:
         for s, geo in zip(scenes, geos):
             coarse, fine = net(s.cloud, s.image, s.K, train=True, rng=rng, geometry=geo)
             total_loss(coarse, fine, s.gt_pose.inverse(), LossParams())
-        assert 0 < made[0] <= 235 * len(scenes), made[0]
+        assert 0 < made[0] <= 179 * len(scenes), made[0]
 
     def test_gradients_reach_every_parameter(self):
         cfg = desk_config()
@@ -311,9 +312,7 @@ class TestNetwork:
         scene = synth_scene(1, SceneConfig(n_points=128))
         coarse, fine = net(scene.cloud, scene.image, scene.K, train=True,
                            rng=np.random.default_rng(0))
-        loss = (fine.q_t * fine.q_t).sum() + fine.t_t.norm_l1() + \
-            (coarse.q_t * coarse.q_t).sum() + coarse.t_t.norm_l1()
-        loss.backward()
+        total_loss(coarse, fine, scene.gt_pose.inverse(), LossParams()).backward()
         missing = [p.name for p in net.named_parameters() if p.grad is None]
         assert missing == []
 

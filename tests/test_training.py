@@ -71,7 +71,7 @@ class TestLoss:
                 assert g > 0
 
     def test_loss_gradient_matches_finite_difference(self):
-        lp = T.LossParams()
+        lp = T.LossParams(sq_init=-0.7, st_init=0.4)
         q = np.array([0.9, 0.1, -0.2, 0.05])
         t = np.array([0.3, -0.4, 0.2])
 
@@ -83,6 +83,24 @@ class TestLoss:
         T.single_loss(tq, tt, IDENTITY, lp).backward()
         assert rel_err(tq.grad, finite_diff(f, q)) < 1e-6
         assert rel_err(tt.grad, finite_diff(f, t)) < 1e-6
+        for s in (lp.s_q, lp.s_t):
+            assert rel_err(s.grad, finite_diff(f, s.data)) < 1e-6, s.name
+
+    def test_one_node_matches_the_composed_numpy(self):
+        # the loss as it was composed of Tensor ops, in the same order:
+        # q - q_gt as q + (-q_gt), the sums, then the products and sums
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            gt = PoseQT(rng.normal(size=4), rng.normal(size=3))
+            q, t = rng.normal(size=4), rng.normal(size=3)
+            sq, st = rng.normal(size=2)
+            d_q, d_t = q + (-gt.q), t + (-gt.t)
+            dq = np.sqrt((d_q * d_q).sum())
+            dt = np.abs(d_t).sum()
+            want = dq * np.exp(-sq) + sq + dt * np.exp(-st) + st
+            lp = T.LossParams(sq_init=sq, st_init=st)
+            got = T.single_loss(Tensor(q), Tensor(t), gt, lp).data
+            assert got.tobytes() == np.asarray(want).tobytes()
 
 
 class TestAdam:
