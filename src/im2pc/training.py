@@ -31,8 +31,8 @@ def single_loss(q: Tensor, t: Tensor, gt: PoseQT, lp: LossParams) -> Tensor:
     eq, et = np.exp(-sq.data), np.exp(-st.data)
 
     def backward(g):
-        if q.requires_grad:
-            q._accum(g * eq / dq * d_q)
+        if q.requires_grad:  # the zero subgradient at q = q_gt
+            q._accum(g * eq / dq * d_q if dq != 0 else np.zeros_like(d_q))
         if t.requires_grad:
             t._accum(g * et * np.sign(d_t))
         if sq.requires_grad:
@@ -111,6 +111,13 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
           log_path=None, max_steps=None, log_fn=None):
     """Train on Scene objects; returns (best_rte, history rows).
 
+    Each step back-propagates every scene of its batch as soon as that
+    scene's loss exists, scaled by 1 / batch size, so one scene's graph is
+    alive at a time; the gradients add up in batch order, as one backward
+    through the summed batch loss would add them. A scene whose loss, or
+    the batch sum up to it, is not finite raises NonFiniteLoss before its
+    backward, so no NaN reaches a gradient and no parameter moves.
+
     Writes a CSV log `epoch,split,loss,rre_deg,rte,lr` when log_path is set
     and checkpoints the best-by-holdout-RTE parameters to out_ckpt.
     """
@@ -150,6 +157,7 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
             epoch_losses = []
             for bi in range(0, len(trainset), cfg.batch_size):
                 batch = trainset[bi: bi + cfg.batch_size]
+                opt.zero_grad()
                 loss = None
                 for i in batch:
                     scene = scenes[i]
@@ -158,13 +166,14 @@ def train(model: RegistrationNet, scenes, cfg: TrainConfig, out_ckpt,
                                          train=True, rng=rng, geometry=geometry(i),
                                          dropout=cfg.dropout)
                     one = total_loss(coarse, fine, target, lp)
-                    loss = one if loss is None else loss + one
-                loss = loss * (1.0 / len(batch))
-                val = float(loss.data)
-                if not np.isfinite(val):
-                    raise NonFiniteLoss(f"non-finite loss at epoch {epoch} batch {bi}")
-                opt.zero_grad()
-                loss.backward()
+                    loss = one.data if loss is None else loss + one.data
+                    # this scene's loss and the batch sum so far, before any
+                    # of it reaches a gradient
+                    if not np.isfinite(loss):
+                        raise NonFiniteLoss(f"non-finite loss at epoch {epoch} batch {bi}")
+                    # frees this scene's graph before the next forward
+                    (one * (1.0 / len(batch))).backward()
+                val = float(loss * (1.0 / len(batch)))
                 clip_grad_norm(params, cfg.clip_norm)
                 opt.step()
                 epoch_losses.append(val)

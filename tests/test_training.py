@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,20 @@ from util import finite_diff, rel_err
 
 
 IDENTITY = PoseQT.identity()
+# A4's settings: large-mode scenes, a finer image grid, batch 4, no dropout
+A4_SCENE = dict(rot_range=(0.0, 0.0, 15.0), transl_range=(0.5, 0.5, 0.0), mode="large")
+A4_TRAIN = dict(lr=1e-2, epochs=1000, seed=0, dropout=0.0, holdout_frac=0.0,
+                batch_size=4, clip_norm=100.0, lr_decay=0.004, eval_every=10)
+
+
+def a4_net():
+    cfg = desk_config()
+    cfg.image_strides = ((2, 2), (2, 2), (1, 1))
+    return RegistrationNet(cfg, seed=0)
+
+
+def a4_scenes(n_points, count=4):
+    return [synth_scene(s, SceneConfig(n_points=n_points, **A4_SCENE)) for s in range(count)]
 
 
 def stage_of(q, t):
@@ -85,6 +100,16 @@ class TestLoss:
         assert rel_err(tt.grad, finite_diff(f, t)) < 1e-6
         for s in (lp.s_q, lp.s_t):
             assert rel_err(s.grad, finite_diff(f, s.data)) < 1e-6, s.name
+
+    def test_quaternion_gradient_at_zero_error(self):
+        # |q_gt - q|_2 has no gradient at q = q_gt; q gets the zero subgradient
+        lp = T.LossParams()
+        q = Tensor(IDENTITY.q, requires_grad=True)
+        t = Tensor(IDENTITY.t, requires_grad=True)
+        T.single_loss(q, t, IDENTITY, lp).backward()
+        assert q.grad.tobytes() == np.zeros(4).tobytes()
+        assert t.grad.tobytes() == np.zeros(3).tobytes()
+        assert float(lp.s_q.grad) == 1.0 and float(lp.s_t.grad) == 1.0
 
     def test_one_node_matches_the_composed_numpy(self):
         # the loss as it was composed of Tensor ops, in the same order:
@@ -156,6 +181,40 @@ class TestSchedule:
             T.train(net, [scene], TrainConfig(epochs=1, seed=0, holdout_frac=0.0),
                     "/tmp/no.ckpt")
 
+    def test_non_finite_scene_loss_stops_before_its_backward(self, tmp_path, monkeypatch):
+        # the second scene of the second batch of 2 gives NaN: its loss must
+        # never reach a gradient, and the step must leave the parameters
+        # and Adam's moments as the first step left them
+        net = RegistrationNet(desk_config(), seed=0)
+        scenes = [synth_scene(s, SceneConfig(n_points=64)) for s in range(4)]
+        real, calls = T.total_loss, [0]
+
+        def poisoned(*args, **kwargs):
+            calls[0] += 1
+            one = real(*args, **kwargs)
+            return one * math.nan if calls[0] == 4 else one
+
+        monkeypatch.setattr(T, "total_loss", poisoned)
+        stepped, after, real_step = [], [], T.Adam.step
+
+        def step(opt):
+            real_step(opt)
+            stepped.append(opt)
+            after[:] = [[a.tobytes() for a in (p.data, m, v)]
+                        for p, m, v in zip(opt.params, opt.m, opt.v)]
+
+        monkeypatch.setattr(T.Adam, "step", step)
+        ckpt = tmp_path / "m.ckpt"
+        with pytest.raises(NonFiniteLoss, match="non-finite loss at epoch 0 batch 2"):
+            T.train(net, scenes, TrainConfig(epochs=1, seed=0, batch_size=2,
+                                             holdout_frac=0.0), ckpt)
+        opt, = stepped
+        assert calls[0] == 4 and opt.t == 1
+        assert [[a.tobytes() for a in (p.data, m, v)]
+                for p, m, v in zip(opt.params, opt.m, opt.v)] == after
+        assert all(p.grad is None or np.isfinite(p.grad).all() for p in opt.params)
+        assert not ckpt.exists()
+
     def test_non_finite_holdout_errors_raise(self, tmp_path, monkeypatch):
         # a diverged model scores NaN, which no RTE comparison ever prefers:
         # the run must stop instead of ending without a checkpoint
@@ -174,6 +233,52 @@ class TestSchedule:
         T.train(net, [scene], TrainConfig(epochs=1, seed=0, dropout=0.0, holdout_frac=0.0),
                 tmp_path / "m.ckpt")
         assert net.cfg == built
+
+
+class TestBatchStep:
+    def test_gradients_are_one_backward_through_the_summed_loss(self, tmp_path, monkeypatch):
+        # train() back-propagates each scene on its own; the gradients it
+        # hands Adam must be bitwise those of one backward through the
+        # batch's summed loss, which adds the scenes in batch order too
+        scenes = a4_scenes(128)
+        tcfg = TrainConfig(**A4_TRAIN)
+        seen, real_step = [], T.Adam.step
+
+        def step(opt):
+            if not seen:
+                seen[:] = [(p.name, None if p.grad is None else p.grad.tobytes())
+                           for p in opt.params]
+            real_step(opt)
+
+        monkeypatch.setattr(T.Adam, "step", step)
+        T.train(a4_net(), scenes, tcfg, tmp_path / "m.ckpt", max_steps=1)
+
+        net, lp = a4_net(), T.LossParams()
+        rng = np.random.default_rng(tcfg.seed)
+        loss = None
+        for s in scenes:
+            coarse, fine = net(s.cloud, s.image, s.K, train=True, rng=rng,
+                               geometry=net.geometry(s.cloud, s.image, s.K),
+                               dropout=tcfg.dropout)
+            one = T.total_loss(coarse, fine, s.gt_pose.inverse(), lp)
+            loss = one if loss is None else loss + one
+        (loss * (1.0 / len(scenes))).backward()
+        params = net.named_parameters() + lp.named_parameters()
+        T.clip_grad_norm(params, tcfg.clip_norm)
+        assert [(p.name, p.grad.tobytes()) for p in params] == seen
+
+    def test_step_peak_memory(self, tmp_path):
+        # one scene's graph is alive at a time: a 4-scene A4 step, with its
+        # holdout eval and checkpoint, peaks at ~15 MB; holding all four
+        # graphs until one backward peaked at ~50 MB
+        net, scenes = a4_net(), a4_scenes(512)
+        tracemalloc.start()
+        try:
+            T.train(net, scenes, TrainConfig(**A4_TRAIN), tmp_path / "m.ckpt", max_steps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, f"train step peaked at {peak / 1e6:.1f} MB"
 
 
 class TestEndToEndGradient:
