@@ -316,14 +316,34 @@ def _im2col(xp: np.ndarray, H: int, W: int) -> np.ndarray:
     return windows.transpose(0, 1, 3, 4, 2).reshape(H * W, -1)
 
 
-def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 'same' convolution on an (H, W, Cin) tensor; w is (3, 3, Cin, Cout)."""
+def _col2im(gcols: np.ndarray, H: int, W: int, Cin: int) -> np.ndarray:
+    """The (H, W, Cin) input's gradient from its columns' (H * W, 9 * Cin)."""
+    # (i, j, H, W, Cin): each tap's gradient one contiguous block
+    gtaps = gcols.reshape(H, W, 3, 3, Cin).transpose(2, 3, 0, 1, 4).copy()
+    gxp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
+    for i in range(3):
+        for j in range(3):
+            gxp[i : i + H, j : j + W, :] += gtaps[i, j]
+    return gxp[1 : 1 + H, 1 : 1 + W, :]
+
+
+def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, product=None) -> Tensor:
+    """3x3 'same' convolution on an (H, W, Cin) tensor; w is (3, 3, Cin, Cout).
+
+    With `product`, the columns' product is the caller's own node:
+    `product(cols, cols_to_x)` gets x's (H * W, 9 * Cin) im2col columns and
+    the map of their gradient to x's, and its result is returned. nn_blocks'
+    eval conv, with its norm folded into w and b, is such a node; so every
+    conv, plain or folded, runs through this one function, which perfbench's
+    `autodiff.conv2d` span wraps."""
     H, W, Cin = x.shape
     if w.shape[:3] != (3, 3, Cin):
         raise ShapeMismatch(w.shape, (3, 3, Cin, -1), "conv weight")
     Cout = w.shape[3]
     xp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
     xp[1 : 1 + H, 1 : 1 + W] = x.data
+    if product is not None:
+        return product(_im2col(xp, H, W), lambda gcols: _col2im(gcols, H, W, Cin))
     out_data = (_im2col(xp, H, W) @ w.data.reshape(9 * Cin, Cout)).reshape(H, W, Cout)
     out_data += b.data
 
@@ -336,14 +356,7 @@ def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(np.ones(H * W) @ gm)
         if x.requires_grad:
-            gcols = gm @ w.data.reshape(9 * Cin, Cout).T
-            # (i, j, H, W, Cin): each tap's gradient one contiguous block
-            gtaps = gcols.reshape(H, W, 3, 3, Cin).transpose(2, 3, 0, 1, 4).copy()
-            gxp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
-            for i in range(3):
-                for j in range(3):
-                    gxp[i : i + H, j : j + W, :] += gtaps[i, j]
-            x._accum(gxp[1 : 1 + H, 1 : 1 + W, :])
+            x._accum(_col2im(gm @ w.data.reshape(9 * Cin, Cout).T, H, W, Cin))
 
     return Tensor._make(out_data, (x, w, b), backward)
 

@@ -143,4 +143,6 @@ def restore_buffers(buffers, state: dict[str, np.ndarray]):
             raise MalformedFile(f"checkpoint missing buffer {name}")
         if state[name].shape != np.asarray(getattr(owner, attr)).shape:
             raise MalformedFile(f"shape mismatch for {name}")
+        if attr == "running_var" and (state[name] < 0).any():  # train() never saves one
+            raise MalformedFile(f"negative variance in checkpoint record {name!r}")
         setattr(owner, attr, state[name].copy())

@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_non_finite_checkpoint_exit_3(trained, tmp_path, capsys, cmd):
     code, out, err = run_on_scene_0(capsys, cmd, bad, data, tmp_path)
     assert code == 3
     assert "data error" in err and "non-finite" in err
+    assert out == "" and not list(tmp_path.glob("r_*"))
+
+
+@pytest.mark.parametrize("cmd", ["infer", "eval"])
+def test_negative_running_variance_exit_3(trained, tmp_path, capsys, cmd):
+    # eval's norm takes the square root of the running variance
+    data, ckpt, _ = trained
+    state = load_checkpoint(ckpt)
+    name = sorted(n for n in state if n.endswith(".running_var"))[0]
+    state[name][0] = -1.0
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(str(bad), [Parameter(n, v) for n, v in state.items()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to exit 3
+        code, out, err = run_on_scene_0(capsys, cmd, bad, data, tmp_path)
+    assert code == 3
+    assert "data error" in err and "negative variance" in err and name in err
     assert out == "" and not list(tmp_path.glob("r_*"))
 
 

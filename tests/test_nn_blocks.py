@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import im2pc.autodiff as ad
 import im2pc.nn_blocks as nn
 from im2pc.autodiff import Tensor, _unbroadcast, as_tensor
 from im2pc.errors import ShapeMismatch
@@ -51,16 +52,19 @@ class TestFeatureNorm:
     def test_train_mode_standardizes(self):
         norm = nn.FeatureNorm("n", 4)
         x = Tensor(np.random.default_rng(3).normal(size=(50, 4)) * 3 + 1)
-        y = undo_leaky(norm(x, train=True).data)
+        y = undo_leaky(norm(x).data)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
 
     def test_eval_uses_running_stats(self):
+        # an identity Linear, so the norm sees the input itself
+        lin = nn.Linear("l", 2, 2, np.random.default_rng(4))
+        lin.weight.data[...] = np.eye(2)
         norm = nn.FeatureNorm("n", 2)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            norm(Tensor(rng.normal(size=(30, 2)) * 2 + 5), train=True)
-        y = norm(Tensor(np.array([[5.0, 5.0]])), train=False)
+            lin.normed(Tensor(rng.normal(size=(30, 2)) * 2 + 5), norm, train=True)
+        y = lin.normed(Tensor(np.array([[5.0, 5.0]])), norm, train=False)
         # input equals the long-run mean, so the normalized value is near 0
         assert np.all(np.abs(y.data) < 0.2)
 
@@ -73,11 +77,17 @@ class TestFeatureNorm:
         np.testing.assert_array_equal(out > 0, z > 0)
 
     def test_eval_is_elementwise(self):
-        norm = nn.FeatureNorm("n", 3)
+        # a row's eval output does not depend on the other rows' values; a
+        # one-row product may round differently in BLAS, so rows are swapped
+        # for others, not cut out
+        lin, norm = make_layer(5, cin=3, cout=3)
         a = np.random.default_rng(5).normal(size=(6, 3))
-        full = norm(Tensor(a), train=False).data
-        rows = np.stack([norm(Tensor(a[i:i + 1]), train=False).data[0] for i in range(6)])
-        np.testing.assert_array_equal(full, rows)
+        full = lin.normed(Tensor(a), norm, train=False).data
+        for i in range(6):
+            other = np.random.default_rng(6 + i).normal(size=(6, 3))
+            other[i] = a[i]
+            row = lin.normed(Tensor(other), norm, train=False).data[i]
+            np.testing.assert_array_equal(full[i], row)
 
 
 # -- the fused layers against the same maths built from Tensor primitives -----
@@ -125,26 +135,42 @@ def composed_linear(lin, x):
     return matmul(x, lin.weight) + lin.bias
 
 
-def composed_norm_act(norm, x, train):
-    """Feature-norm, affine and leaky ReLU built from Tensor primitives."""
-    if train:
-        flat = x.reshape(-1, x.shape[-1])
-        n = flat.shape[0]
-        ones = Tensor(np.ones(n))  # channel means as the same BLAS products
-        mu = divide(matmul(ones, flat), float(n))
-        centered = flat + mu * -1.0   # flat - mu, bitwise
-        var = divide(matmul(ones, centered * centered), float(n))
-        norm.running_mean = (
-            (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data
-        )
-        norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data
-        xn = divide(centered, sqrt(var + nn.NORM_EPS))
-        xn = xn.reshape(*x.shape)
-    else:
-        xn = divide(x + Tensor(-norm.running_mean),
-                    Tensor(np.sqrt(norm.running_var + nn.NORM_EPS)))
-    y = xn * norm.gamma + norm.beta
+def composed_norm_act(norm, x):
+    """Train-mode feature-norm, affine and leaky ReLU built from Tensor
+    primitives."""
+    flat = x.reshape(-1, x.shape[-1])
+    n = flat.shape[0]
+    ones = Tensor(np.ones(n))  # channel means as the same BLAS products
+    mu = divide(matmul(ones, flat), float(n))
+    centered = flat + mu * -1.0   # flat - mu, bitwise
+    var = divide(matmul(ones, centered * centered), float(n))
+    norm.running_mean = (
+        (1 - nn.NORM_MOMENTUM) * norm.running_mean + nn.NORM_MOMENTUM * mu.data
+    )
+    norm.running_var = (1 - nn.NORM_MOMENTUM) * norm.running_var + nn.NORM_MOMENTUM * var.data
+    xn = divide(centered, sqrt(var + nn.NORM_EPS)).reshape(*x.shape)
+    return leaky(xn * norm.gamma + norm.beta)
+
+
+def leaky(y):
     return y * Tensor(np.where(y.data > 0, 1.0, nn.LEAKY_SLOPE))
+
+
+def composed_folded(lin, norm, x):
+    """The eval layer with the norm folded into its weights, from Tensor
+    primitives: leaky(x @ (W * a) + ((b - mean) * a + beta))."""
+    a = divide(norm.gamma, np.sqrt(norm.running_var + nn.NORM_EPS))
+    shift = (lin.bias + Tensor(-norm.running_mean)) * a + norm.beta
+    return leaky(matmul(x, lin.weight * a) + shift)
+
+
+def perturb_norm(norm, rng):
+    """Non-trivial affine parameters and running buffers."""
+    c = norm.gamma.shape[0]
+    norm.gamma.data[...] = rng.normal(size=c)
+    norm.beta.data[...] = rng.normal(size=c)
+    norm.running_mean = rng.normal(size=c)
+    norm.running_var = rng.uniform(0.5, 2.0, size=c)
 
 
 def make_layer(seed, cin=5, cout=4):
@@ -153,13 +179,17 @@ def make_layer(seed, cin=5, cout=4):
     lin = nn.Linear("l", cin, cout, rng)
     lin.bias.data[...] = rng.normal(size=cout)
     norm = nn.FeatureNorm("n", cout)
-    norm.gamma.data[...] = rng.normal(size=cout)
-    norm.beta.data[...] = rng.normal(size=cout)
+    perturb_norm(norm, rng)
     # channel 0 outputs exact zeros, where the leaky ReLU's slope applies
     norm.gamma.data[0] = norm.beta.data[0] = 0.0
-    norm.running_mean = rng.normal(size=cout)
-    norm.running_var = rng.uniform(0.5, 2.0, size=cout)
     return lin, norm
+
+
+def unfolded_norm(h, norm):
+    """Eval's norm, affine and leaky ReLU on pre-activations h, unfolded."""
+    z = (h - norm.running_mean) / np.sqrt(norm.running_var + nn.NORM_EPS)
+    z = z * norm.gamma.data + norm.beta.data
+    return np.where(z > 0, z, z * nn.LEAKY_SLOPE)
 
 
 def run_layer(layer_fn, lin, norm, x, weights, train):
@@ -174,11 +204,18 @@ def run_layer(layer_fn, lin, norm, x, weights, train):
 
 
 def fused(lin, norm, t, train):
-    return norm(lin(t), train)
+    return lin.normed(t, norm, train)
+
+
+def two_nodes(lin, norm, t, train):
+    assert train  # a FeatureNorm node is train-mode only
+    return norm(lin(t))
 
 
 def composed(lin, norm, t, train):
-    return composed_norm_act(norm, composed_linear(lin, t), train)
+    if train:
+        return composed_norm_act(norm, composed_linear(lin, t))
+    return composed_folded(lin, norm, t)
 
 
 SHAPES = [(37, 5), (9, 6, 5), (4, 3, 2, 5)]
@@ -203,6 +240,44 @@ class TestFusedLayers:
             # compare it with the scale of the input gradient instead
             scale = np.abs(grads_c[0]).max() if (train and name == "b") else np.abs(b).max()
             assert np.abs(a - b).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_train_node_is_bitwise_the_two_nodes(self, shape):
+        # one train node runs the Linear's and the norm's arithmetic in turn
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=shape) * 2 + 0.5
+        weights = rng.normal(size=shape[:-1] + (4,))
+        out_f, grads_f, bufs_f = run_layer(fused, *make_layer(25), x, weights, True)
+        out_t, grads_t, bufs_t = run_layer(two_nodes, *make_layer(25), x, weights, True)
+        for a, b in zip([out_f, *grads_f, *bufs_f], [out_t, *grads_t, *bufs_t]):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_eval_fold_matches_the_unfolded_expression(self, shape):
+        lin, norm = make_layer(26)
+        x = np.random.default_rng(27).normal(size=shape) * 2 + 0.5
+        got = lin.normed(Tensor(x), norm, train=False).data
+        want = unfolded_norm(x @ lin.weight.data + lin.bias.data, norm)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(8, 3), (3, 4, 3)])
+    def test_eval_mode_finite_differences(self, shape):
+        rng = np.random.default_rng(28)
+        mlp = nn.SharedMlp("m", 3, (4, 3, 2), rng, final_linear=True)
+        for lin, norm in zip(mlp.layers, mlp.norms):
+            lin.bias.data[...] = rng.normal(size=lin.bias.shape)
+            perturb_norm(norm, rng)
+        x = rng.normal(size=shape)
+        weights = rng.normal(size=shape[:-1] + (2,))
+
+        def loss():
+            return float((mlp(Tensor(x), train=False).data * weights).sum())
+
+        t = Tensor(x, requires_grad=True)
+        (mlp(t, train=False) * Tensor(weights)).sum().backward()
+        assert rel_err(t.grad, finite_diff(loss, x)) < 1e-6
+        for p in mlp.named_parameters():  # eval biases shift the output too
+            assert rel_err(p.grad, finite_diff(loss, p.data)) < 1e-6, p.name
 
     def test_linear_matches_composed_on_vectors(self):
         rng = np.random.default_rng(22)
@@ -257,8 +332,9 @@ class TestFusedLayers:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
         net(scene.cloud, scene.image, scene.K, train=True, rng=np.random.default_rng(0))
-        # one node per layer; the same maths from Tensor primitives takes ~1,000
-        assert 0 < len(calls) <= 450
+        # one node per layer, a SharedMlp layer with its norm included (144
+        # calls); the same maths from Tensor primitives takes ~1,000
+        assert 0 < len(calls) <= 149
 
 
 class TestSharedMlp:
@@ -302,6 +378,45 @@ class TestConvBlock:
         blk(t, train=False).sum().backward()
         num = finite_diff(lambda: float(blk(Tensor(x), train=False).data.sum()), x)
         assert rel_err(t.grad, num) < 1e-5
+
+    def test_eval_mode_finite_differences(self):
+        # the folded node's gradients to x, W, b, gamma and beta
+        rng = np.random.default_rng(12)
+        blk = nn.ConvBlock("c", 2, 3, (2, 2), rng)
+        blk.bias.data[...] = rng.normal(size=3)
+        perturb_norm(blk.norm, rng)
+        x = rng.normal(size=(4, 6, 2))
+        weights = rng.normal(size=(2, 3, 3))
+
+        def loss():
+            return float((blk(Tensor(x), train=False).data * weights).sum())
+
+        t = Tensor(x, requires_grad=True)
+        (blk(t, train=False) * Tensor(weights)).sum().backward()
+        assert rel_err(t.grad, finite_diff(loss, x)) < 1e-6
+        params = blk.named_parameters()
+        assert [p.name for p in params] == ["c.weight", "c.bias", "c.norm.gamma", "c.norm.beta"]
+        for p in params:
+            assert rel_err(p.grad, finite_diff(loss, p.data)) < 1e-6, p.name
+
+    def test_eval_fold_matches_the_unfolded_expression(self):
+        rng = np.random.default_rng(13)
+        blk = nn.ConvBlock("c", 3, 5, (1, 1), rng)
+        blk.bias.data[...] = rng.normal(size=5)
+        perturb_norm(blk.norm, rng)
+        x = Tensor(rng.normal(size=(6, 7, 3)))
+        got = blk(x, train=False).data
+        want = unfolded_norm(ad.conv2d_3x3(x, blk.weight, blk.bias).data, blk.norm)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_train_mode_is_the_conv_then_the_norm(self):
+        rng = np.random.default_rng(14)
+        blk = nn.ConvBlock("c", 3, 5, (2, 2), rng)
+        perturb_norm(blk.norm, rng)
+        x = Tensor(rng.normal(size=(4, 6, 3)))
+        got = blk(x, train=True).data
+        want = ad.maxpool2d(blk.norm(ad.conv2d_3x3(x, blk.weight, blk.bias)), (2, 2)).data
+        np.testing.assert_array_equal(got, want)
 
 
 class TestInit:
