@@ -14,10 +14,11 @@ again with recording on (the recompute trade of Chen et al., 2016, "Training
 Deep Nets with Sublinear Memory Cost", applied to a whole forward).
 
 The generic ops live here: broadcasting + and *, reshape, broadcast_to, sum,
-max, softmax, gather, concat, conv, pool, dropout. A fixed formula with a
-closed-form backward is one node where it is used: registration's pose ops,
-cost_volume.standardize and lst_offsets, nn_blocks' normed layers, and
-training.single_loss.
+max, softmax, gather, concat, pool, dropout; `conv2d_3x3` builds a conv's
+im2col columns for its caller's node. A fixed formula with a closed-form
+backward is one node where it is used: registration's pose ops,
+cost_volume.standardize and lst_offsets, nn_blocks.layer (every learned
+layer, convs included), and training.single_loss.
 """
 
 from __future__ import annotations
@@ -309,56 +310,41 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._make(out_data, tuple(tensors), backward)
 
 
-def _im2col(xp: np.ndarray, H: int, W: int) -> np.ndarray:
+def _im2col(xp: np.ndarray) -> np.ndarray:
     """Row (h, w) holds the 3x3 window around (h, w) of the zero-padded
     (H + 2, W + 2, Cin) input as (i, j, Cin): one copy of a strided view."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    return windows.transpose(0, 1, 3, 4, 2).reshape(H * W, -1)
+    return windows.transpose(0, 1, 3, 4, 2).reshape(-1, 9 * xp.shape[2])
 
 
-def _col2im(gcols: np.ndarray, H: int, W: int, Cin: int) -> np.ndarray:
-    """The (H, W, Cin) input's gradient from its columns' (H * W, 9 * Cin)."""
+def _col2im(gcols: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """The (H, W, Cin) input's gradient from its columns' (H * W, 9 * Cin),
+    where xp is the zero-padded input."""
+    H, W, Cin = xp.shape[0] - 2, xp.shape[1] - 2, xp.shape[2]
     # (i, j, H, W, Cin): each tap's gradient one contiguous block
     gtaps = gcols.reshape(H, W, 3, 3, Cin).transpose(2, 3, 0, 1, 4).copy()
-    gxp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
+    gxp = np.zeros_like(xp)
     for i in range(3):
         for j in range(3):
             gxp[i : i + H, j : j + W, :] += gtaps[i, j]
     return gxp[1 : 1 + H, 1 : 1 + W, :]
 
 
-def conv2d_3x3(x: Tensor, w: Tensor, b: Tensor, product=None) -> Tensor:
-    """3x3 'same' convolution on an (H, W, Cin) tensor; w is (3, 3, Cin, Cout).
-
-    With `product`, the columns' product is the caller's own node:
-    `product(cols, cols_to_x)` gets x's (H * W, 9 * Cin) im2col columns and
-    the map of their gradient to x's, and its result is returned. nn_blocks'
-    eval conv, with its norm folded into w and b, is such a node; so every
-    conv, plain or folded, runs through this one function, which perfbench's
-    `autodiff.conv2d` span wraps."""
+def conv2d_3x3(x: Tensor, w: Tensor, node) -> Tensor:
+    """3x3 'same' convolution of an (H, W, Cin) tensor by w, (3, 3, Cin, Cout),
+    as the caller's node: `node(im2col)` gets the pair (columns, cols_to_x),
+    a function that builds x's (H * W, 9 * Cin) im2col columns and the map
+    of their gradient to x's, and its result is returned. nn_blocks.layer
+    builds that node, so every conv, normed or not, runs through this one
+    function, which perfbench's `autodiff.conv2d` span wraps."""
     H, W, Cin = x.shape
     if w.shape[:3] != (3, 3, Cin):
         raise ShapeMismatch(w.shape, (3, 3, Cin, -1), "conv weight")
-    Cout = w.shape[3]
     xp = np.zeros((H + 2, W + 2, Cin), dtype=DTYPE)
     xp[1 : 1 + H, 1 : 1 + W] = x.data
-    if product is not None:
-        return product(_im2col(xp, H, W), lambda gcols: _col2im(gcols, H, W, Cin))
-    out_data = (_im2col(xp, H, W) @ w.data.reshape(9 * Cin, Cout)).reshape(H, W, Cout)
-    out_data += b.data
-
-    def backward(g):
-        gm = g.reshape(H * W, Cout)
-        if w.requires_grad:
-            # the columns again, from xp (1/9 their size); the graph keeps no
-            # strided view, whose base chain holds a gc-tracked numpy object
-            w._accum((_im2col(xp, H, W).T @ gm).reshape(3, 3, Cin, Cout))
-        if b.requires_grad:
-            b._accum(np.ones(H * W) @ gm)
-        if x.requires_grad:
-            x._accum(_col2im(gm @ w.data.reshape(9 * Cin, Cout).T, H, W, Cin))
-
-    return Tensor._make(out_data, (x, w, b), backward)
+    # the columns from xp (1/9 their size) on each call; the graph keeps no
+    # strided view, whose base chain holds a gc-tracked numpy object
+    return node((lambda: _im2col(xp), lambda gcols: _col2im(gcols, xp)))
 
 
 def maxpool2d(x: Tensor, stride: tuple) -> Tensor:

@@ -3,18 +3,19 @@
 Normalization is "feature-norm": statistics over the element axis (points,
 or spatial positions for images), so batch size 1 works. Train mode uses the
 input's own statistics and updates momentum-0.1 running averages. Eval mode
-uses those averages, a fixed per-channel map, which `_folded` folds into the
+uses those averages, a fixed per-channel map, which `layer` folds into the
 weights of the layer before it (Jacob et al., 2018). Leaky-ReLU slope is 0.1.
 
-A layer's Parameters are leaf Tensors. Each layer is one autodiff node with
-a closed-form backward, whose parents are its input and its Parameters:
-Linear; a SharedMlp layer with its feature-norm, the norm's affine and the
-leaky ReLU that always follows, in either mode; an eval ConvBlock's conv with
-its norm (in train mode, a conv node and a norm node). A train norm keeps its
-input and its (C,) statistics, and its backward recomputes the normalised
-input with the forward's operations. A normed node reads the leaky ReLU's
-slope from its own output, whose sign is the pre-activation's, so a graph
-holds one buffer per normed layer.
+Every learned layer is `x @ W + b` on each element's features, or on its
+im2col columns for a 3x3 conv (Chellapilla et al., 2006), with or without a
+feature-norm, the norm's affine and the leaky ReLU after it. `layer` builds
+each one, a Linear, a SharedMlp layer or a ConvBlock's conv, in either mode,
+as one autodiff node with a closed-form backward whose parents are its input
+and its Parameters (leaf Tensors). A train norm keeps its input and its (C,)
+statistics, and its backward recomputes the normalised input with the
+forward's operations. A normed node reads the leaky ReLU's slope from its
+own output, whose sign is the pre-activation's, so a graph holds one buffer
+per normed layer.
 
 On narrow (n, C) arrays numpy's axis-0 reductions and large temporaries cost
 more than the arithmetic, so channel sums are `ones @ x` BLAS products (train
@@ -58,65 +59,90 @@ def _leaky_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gz
 
 
+def layer(x: Tensor, w: Tensor, b: Tensor, norm: FeatureNorm | None = None,
+          train: bool = False, im2col=None) -> Tensor:
+    """One learned layer as one node: `cols @ W + b`, then, with a `norm`,
+    the feature-norm, its affine and the leaky ReLU.
+
+    `cols` is x's data, or for a conv x's im2col columns: `im2col` is then
+    the pair (columns, cols_to_x) from `autodiff.conv2d_3x3`. `columns()`
+    builds the columns afresh on each call, so the backward builds them
+    again and the graph holds no copy; `cols_to_x` maps their gradient to
+    x's. W is viewed as (cols width, C). Train mode runs `norm.standardize` and
+    `norm.backprop`. Eval mode folds the norm into the weights, from the
+    current values: leaky(cols @ (W * a) + ((b - running_mean) * a + beta)),
+    with a = gamma / sqrt(running_var + NORM_EPS). The backward reaches x, W,
+    b, gamma and beta."""
+    C = b.shape[0]
+    wf, bias = w.data.reshape(-1, C), b.data  # what the columns meet
+    fold = norm is not None and not train
+    if fold:
+        std = np.sqrt(norm.running_var + NORM_EPS)
+        a = norm.gamma.data / std
+        shift = b.data - norm.running_mean
+        wf, bias = wf * a, shift * a + norm.beta.data
+    out = (x.data if im2col is None else im2col[0]()) @ wf
+    out += bias
+    if fold:
+        saved = (_leaky(out), a, shift, std)
+    elif norm is not None:
+        flat = out.reshape(-1, C)
+        out, mu, std = norm.standardize(flat)
+        saved = (flat, mu, std, out)  # norm.backprop's arguments
+
+    def backward(g):
+        # the arrays the node keeps are in `saved`, one closure cell; W is read again
+        nonlocal saved
+        gz = g.reshape(-1, g.shape[-1])
+        wf = w.data.reshape(-1, gz.shape[1])
+        if fold:
+            out, a, shift, std = saved
+            gz = _leaky_grad(out.reshape(gz.shape), gz)
+        elif norm is not None:
+            gz = norm.backprop(*saved, gz, True)
+            saved = None  # drops the pre-activation: the columns come next
+        gc = np.ones(gz.shape[0]) @ gz  # the added bias's gradient, and beta's
+        if w.requires_grad or fold and norm.gamma.requires_grad:
+            cols = x.data if im2col is None else im2col[0]()
+            gw = cols.reshape(-1, wf.shape[0]).T @ gz
+            if w.requires_grad:
+                gw_w = gw * a if fold else gw
+                # only a conv's W, (3, 3, Cin, C), needs the reshape: a view kept
+                # as .grad is one more object per Parameter until the step
+                w._accum(gw_w if gw_w.shape == w.shape else gw_w.reshape(w.shape))
+            if fold and norm.gamma.requires_grad:  # through a, in W * a and in the shift
+                norm.gamma._accum((np.ones(wf.shape[0]) @ (wf * gw) + shift * gc) / std)
+        if b.requires_grad:
+            b._accum(gc * a if fold else gc)
+        if fold and norm.beta.requires_grad:
+            norm.beta._accum(gc)
+        if x.requires_grad:
+            gcols = gz @ (wf * a if fold else wf).T
+            x._accum(gcols.reshape(x.shape) if im2col is None else im2col[1](gcols))
+
+    y = out if out.ndim == x.data.ndim else out.reshape(x.shape[:-1] + (C,))  # (n, C) rows
+    parents = (x, w, b) if norm is None else (x, w, b, norm.gamma, norm.beta)
+    return Tensor._make(y, parents, backward)
+
+
 class Linear(Module):
     def __init__(self, name, in_dim, out_dim, rng):
         self.in_dim = in_dim
         self.weight = Parameter(f"{name}.weight", kaiming_uniform(rng, (in_dim, out_dim), in_dim))
         self.bias = Parameter(f"{name}.bias", np.zeros(out_dim))
 
-    def _check(self, x: Tensor):
+    def __call__(self, x: Tensor, norm: FeatureNorm | None = None, train: bool = False) -> Tensor:
+        """x @ W + b over the last axis, then `norm` if given (see `layer`)."""
         if x.shape[-1] != self.in_dim:
             raise ShapeMismatch(x.shape, (self.in_dim,), "linear input")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        self._check(x)
-        w, b = self.weight, self.bias
-        out = x.data @ w.data
-        out += b.data
-
-        def backward(g):
-            self._backprop(x, g.reshape(-1, g.shape[-1]))
-
-        return Tensor._make(out, (x, w, b), backward)
-
-    def _backprop(self, x: Tensor, gf: np.ndarray):
-        """Accumulate W's, b's and x's gradients from the output's, as one
-        2-D (n, out_dim) product over every leading axis at once."""
-        w, b = self.weight, self.bias
-        if w.requires_grad:
-            w._accum(x.data.reshape(-1, self.in_dim).T @ gf)
-        if b.requires_grad:
-            b._accum(np.ones(gf.shape[0]) @ gf)
-        if x.requires_grad:
-            x._accum((gf @ w.data.T).reshape(x.shape))
-
-    def normed(self, x: Tensor, norm: FeatureNorm, train: bool) -> Tensor:
-        """This layer, then `norm`, as one node: in train mode the two
-        layers' own arithmetic in turn, in eval mode the folded layer."""
-        self._check(x)
-        if not train:
-            return _folded(x, x.data, self.weight, self.bias, norm,
-                           lambda gcols: gcols.reshape(x.shape))
-        w, b = self.weight, self.bias
-        h = x.data @ w.data
-        h += b.data
-        flat = h.reshape(-1, h.shape[-1])
-        out, mu, std = norm.standardize(flat)
-
-        def backward(g):
-            to_h = x.requires_grad or w.requires_grad or b.requires_grad
-            gh = norm.backprop(flat, mu, std, out, g.reshape(out.shape), to_h)
-            if to_h:
-                self._backprop(x, gh)
-
-        return Tensor._make(out.reshape(h.shape), (x, w, b, norm.gamma, norm.beta), backward)
+        return layer(x, self.weight, self.bias, norm, train)
 
 
 class FeatureNorm(Module):
     """Normalize each channel over all element axes (everything but the last),
     then scale, shift and apply the leaky ReLU. In train mode by the input's
     own statistics, which also update the running averages; eval mode uses
-    those, and folds them into the layer before (`_folded`)."""
+    those, folded into the layer before (`layer`)."""
 
     def __init__(self, name, dim):
         self.name = name
@@ -128,18 +154,6 @@ class FeatureNorm(Module):
     def named_buffers(self):
         return [(f"{self.name}.running_mean", self, "running_mean"),
                 (f"{self.name}.running_var", self, "running_var")]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """The train-mode norm as its own node."""
-        flat = x.data.reshape(-1, x.shape[-1])
-        out, mu, std = self.standardize(flat)
-
-        def backward(g):
-            gx = self.backprop(flat, mu, std, out, g.reshape(out.shape), x.requires_grad)
-            if x.requires_grad:
-                x._accum(gx.reshape(x.shape))
-
-        return Tensor._make(out.reshape(x.shape), (x, self.gamma, self.beta), backward)
 
     def standardize(self, flat: np.ndarray):
         """The train-mode output on (n, C) pre-activations, with the mean and
@@ -181,43 +195,6 @@ class FeatureNorm(Module):
         return None
 
 
-def _folded(x: Tensor, cols: np.ndarray, w: Tensor, b: Tensor, norm: FeatureNorm,
-            cols_to_x) -> Tensor:
-    """An eval-mode layer and its norm as one node:
-    leaky(cols @ (W * a) + ((b - running_mean) * a + beta)), where
-    a = gamma / sqrt(running_var + NORM_EPS), folded from the current values
-    on every call. `cols` is x's data, or its im2col columns for a conv, and W
-    is viewed as (cols width, C); `cols_to_x` maps the columns' gradient to
-    x's. The backward reaches x, W, b, gamma and beta."""
-    gamma, beta = norm.gamma, norm.beta
-    wm = w.data.reshape(-1, b.shape[0])
-    std = np.sqrt(norm.running_var + NORM_EPS)
-    a = gamma.data / std
-    wa = wm * a
-    shift = b.data - norm.running_mean
-    out = cols @ wa
-    out += shift * a + beta.data
-    out = _leaky(out).reshape(x.shape[:-1] + b.shape)
-
-    def backward(g):
-        gz = _leaky_grad(out, g).reshape(-1, b.shape[0])
-        gc = np.ones(gz.shape[0]) @ gz  # the shift's gradient, and beta's
-        if w.requires_grad or gamma.requires_grad:
-            gwa = cols.reshape(-1, wm.shape[0]).T @ gz
-            if w.requires_grad:
-                w._accum((gwa * a).reshape(w.shape))
-            if gamma.requires_grad:  # through a, in wa and in the shift
-                gamma._accum((np.ones(wm.shape[0]) @ (wm * gwa) + shift * gc) / std)
-        if b.requires_grad:
-            b._accum(gc * a)
-        if x.requires_grad:
-            x._accum(cols_to_x(gz @ wa.T))
-        if beta.requires_grad:
-            beta._accum(gc)
-
-    return Tensor._make(out, (x, w, b, gamma, beta), backward)
-
-
 class SharedMlp(Module):
     """Stack of (linear -> feature-norm -> leaky ReLU) applied per element.
 
@@ -238,7 +215,7 @@ class SharedMlp(Module):
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         for i, lin in enumerate(self.layers):
-            x = lin.normed(x, self.norms[i], train) if i < len(self.norms) else lin(x)
+            x = lin(x, self.norms[i] if i < len(self.norms) else None, train)
         return x
 
 
@@ -254,9 +231,6 @@ class ConvBlock(Module):
         self.norm = FeatureNorm(f"{name}.norm", out_ch)
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        w, b, norm = self.weight, self.bias, self.norm
-        if train:
-            y = norm(ad.conv2d_3x3(x, w, b))
-        else:  # one node: the columns' product with the folded weights
-            y = ad.conv2d_3x3(x, w, b, lambda cols, to_x: _folded(x, cols, w, b, norm, to_x))
+        y = ad.conv2d_3x3(x, self.weight,
+                          lambda im2col: layer(x, self.weight, self.bias, self.norm, train, im2col))
         return ad.maxpool2d(y, self.stride)

@@ -8,6 +8,7 @@ backward reaches them."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +19,8 @@ from . import pyramids
 from .autodiff import Tensor
 from .config import ModelConfig
 from .cost_volume import CostVolumeModule, MixtureSpec, StageNeighbours, normalized_pixels
-from .errors import DegenerateQuaternion, IndexMismatch, NonFiniteLoss, ShapeMismatch
+from .errors import (DegenerateQuaternion, Im2pcError, IndexMismatch, NonFiniteLoss,
+                     ShapeMismatch)
 from .geometry import (CameraIntrinsics, PoseQT, SphericalConfig, canonical_sign,
                        quat_conj, quat_mul, quat_rotate, spherical_project_many)
 from .nn_blocks import Linear, SharedMlp
@@ -201,8 +203,13 @@ class RegistrationNet(Module):
         levels = pyramids.sample_levels(base, POINT_GROUPINGS, SPHERICAL)
         cloud3, cloud4 = levels[2].centers, levels[3].centers
         grid = self.image_pyramid.level_grids(image.shape[0], image.shape[1])[2]
-        coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical,
-                                           normalized_pixels(grid, K), SPHERICAL)
+        with np.errstate(over="ignore"):  # refused below
+            plane = normalized_pixels(grid, K)
+        # the pixel searches square differences across the plane
+        reach = 2.0 * float(np.abs(plane).max())
+        if not math.isfinite(2.0 * reach * reach):
+            raise Im2pcError(f"intrinsics {K} overflow the normalized plane")
+        coarse = self.cv_coarse.neighbours(cloud4.positions, cloud4.spherical, plane, SPHERICAL)
         # searched by pyramids' name, as the levels are; up_e and up_m share one
         context = pyramids.projection_aware_knn(cloud4, cloud4, NEIGHBOURHOOD, SPHERICAL)[0]
         upsample = pyramids.projection_aware_knn(cloud3, cloud4, NEIGHBOURHOOD, SPHERICAL)[0]

@@ -220,11 +220,11 @@ def test_bad_infer_input_exit_3(trained, tmp_path, capsys, case):
     assert "data error" in err
 
 
-def run_on_scene_0(capsys, cmd, ckpt, data, tmp_path):
+def run_on_scene_0(capsys, cmd, ckpt, data, tmp_path, intrinsics=INTRINSICS):
     """`infer` on the first scene, or `eval` on all of them writing to r_*."""
     scene = os.path.join(data, "scene_0000")
     intr = tmp_path / "intr.txt"
-    intr.write_text(INTRINSICS)
+    intr.write_text(intrinsics)
     args = {"infer": ["--cloud", os.path.join(scene, "cloud.bin"), "--image",
                       os.path.join(scene, "image.ppm"), "--intrinsics", str(intr)],
             "eval": ["--data", data, "--out", str(tmp_path / "r")]}[cmd]
@@ -272,6 +272,34 @@ def test_non_finite_pose_exit_4(trained, tmp_path, capsys, cmd):
         code, out, err = run_on_scene_0(capsys, cmd, bad, data, tmp_path)
     assert code == 4
     assert "invariant violation" in err and "non-finite" in err
+    assert out == "" and not list(tmp_path.glob("r_*"))
+
+
+OVERFLOWING_INTRINSICS = {  # case: (fx, fy, cx, cy)
+    "focal_1e-300": (1e-300, 1e-300, 32.0, 16.0),   # the squared distances overflow
+    "cx_1e308": (40.0, 40.0, 1e308, 16.0),           # the same
+    "focal_subnormal": (5e-324, 40.0, 32.0, 16.0),   # the plane's coordinates overflow
+}
+
+
+@pytest.mark.parametrize("cmd, case", [("infer", case) for case in sorted(OVERFLOWING_INTRINSICS)]
+                         + [("eval", "focal_1e-300")])
+def test_overflowing_intrinsics_exit_3(trained, tmp_path, capsys, cmd, case):
+    # eval reads them from the scene's meta.txt, infer from --intrinsics
+    data, ckpt, _ = trained
+    fx, fy, cx, cy = OVERFLOWING_INTRINSICS[case]
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    meta = bad / "scene_0000" / "meta.txt"
+    meta.write_text("\n".join(f"intrinsics={fx!r},{fy!r},{cx!r},{cy!r}"
+                              if l.startswith("intrinsics=") else l
+                              for l in meta.read_text().splitlines()) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to exit 3
+        code, out, err = run_on_scene_0(capsys, cmd, ckpt, str(bad), tmp_path,
+                                        f"fx={fx!r}\nfy={fy!r}\ncx={cx!r}\ncy={cy!r}\n")
+    assert code == 3
+    assert f"fx={fx!r}" in err and "overflow the normalized plane" in err
     assert out == "" and not list(tmp_path.glob("r_*"))
 
 

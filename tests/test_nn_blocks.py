@@ -7,7 +7,7 @@ import im2pc.autodiff as ad
 import im2pc.nn_blocks as nn
 from im2pc.autodiff import Tensor, _unbroadcast, as_tensor
 from im2pc.errors import ShapeMismatch
-from util import finite_diff, rel_err
+from util import finite_diff, plain_conv, rel_err
 
 
 class TestLinear:
@@ -52,7 +52,7 @@ class TestFeatureNorm:
     def test_train_mode_standardizes(self):
         norm = nn.FeatureNorm("n", 4)
         x = Tensor(np.random.default_rng(3).normal(size=(50, 4)) * 3 + 1)
-        y = undo_leaky(norm(x).data)
+        y = undo_leaky(norm_node(norm, x).data)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
 
@@ -63,8 +63,8 @@ class TestFeatureNorm:
         norm = nn.FeatureNorm("n", 2)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            lin.normed(Tensor(rng.normal(size=(30, 2)) * 2 + 5), norm, train=True)
-        y = lin.normed(Tensor(np.array([[5.0, 5.0]])), norm, train=False)
+            lin(Tensor(rng.normal(size=(30, 2)) * 2 + 5), norm, train=True)
+        y = lin(Tensor(np.array([[5.0, 5.0]])), norm, train=False)
         # input equals the long-run mean, so the normalized value is near 0
         assert np.all(np.abs(y.data) < 0.2)
 
@@ -82,11 +82,11 @@ class TestFeatureNorm:
         # for others, not cut out
         lin, norm = make_layer(5, cin=3, cout=3)
         a = np.random.default_rng(5).normal(size=(6, 3))
-        full = lin.normed(Tensor(a), norm, train=False).data
+        full = lin(Tensor(a), norm, train=False).data
         for i in range(6):
             other = np.random.default_rng(6 + i).normal(size=(6, 3))
             other[i] = a[i]
-            row = lin.normed(Tensor(other), norm, train=False).data[i]
+            row = lin(Tensor(other), norm, train=False).data[i]
             np.testing.assert_array_equal(full[i], row)
 
 
@@ -204,12 +204,26 @@ def run_layer(layer_fn, lin, norm, x, weights, train):
 
 
 def fused(lin, norm, t, train):
-    return lin.normed(t, norm, train)
+    return lin(t, norm, train)
+
+
+def norm_node(norm, x):
+    """The train-mode norm alone as one node, from the norm's own
+    `standardize` and `backprop`."""
+    flat = x.data.reshape(-1, x.shape[-1])
+    out, mu, std = norm.standardize(flat)
+
+    def backward(g):
+        gx = norm.backprop(flat, mu, std, out, g.reshape(out.shape), x.requires_grad)
+        if x.requires_grad:
+            x._accum(gx.reshape(x.shape))
+
+    return Tensor._make(out.reshape(x.shape), (x, norm.gamma, norm.beta), backward)
 
 
 def two_nodes(lin, norm, t, train):
-    assert train  # a FeatureNorm node is train-mode only
-    return norm(lin(t))
+    assert train  # a norm node is train-mode only
+    return norm_node(norm, lin(t))
 
 
 def composed(lin, norm, t, train):
@@ -256,7 +270,7 @@ class TestFusedLayers:
     def test_eval_fold_matches_the_unfolded_expression(self, shape):
         lin, norm = make_layer(26)
         x = np.random.default_rng(27).normal(size=shape) * 2 + 0.5
-        got = lin.normed(Tensor(x), norm, train=False).data
+        got = lin(Tensor(x), norm, train=False).data
         want = unfolded_norm(x @ lin.weight.data + lin.bias.data, norm)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -332,9 +346,9 @@ class TestFusedLayers:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
         net(scene.cloud, scene.image, scene.K, train=True, rng=np.random.default_rng(0))
-        # one node per layer, a SharedMlp layer with its norm included (144
-        # calls); the same maths from Tensor primitives takes ~1,000
-        assert 0 < len(calls) <= 149
+        # one node per layer, a layer with its norm included (138 calls);
+        # the same maths from Tensor primitives takes ~1,000
+        assert 0 < len(calls) <= 143
 
 
 class TestSharedMlp:
@@ -406,8 +420,30 @@ class TestConvBlock:
         perturb_norm(blk.norm, rng)
         x = Tensor(rng.normal(size=(6, 7, 3)))
         got = blk(x, train=False).data
-        want = unfolded_norm(ad.conv2d_3x3(x, blk.weight, blk.bias).data, blk.norm)
+        want = unfolded_norm(plain_conv(x, blk.weight, blk.bias).data, blk.norm)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_train_mode_finite_differences(self):
+        # the train node's gradients to x, W, gamma and beta
+        rng = np.random.default_rng(15)
+        blk = nn.ConvBlock("c", 2, 3, (2, 2), rng)
+        blk.bias.data[...] = rng.normal(size=3)
+        blk.norm.gamma.data[...] = rng.normal(size=3)
+        blk.norm.beta.data[...] = rng.normal(size=3)
+        x = rng.normal(size=(4, 6, 2))
+        weights = rng.normal(size=(2, 3, 3))
+
+        def loss():  # train-mode output does not depend on the running buffers
+            return float((blk(Tensor(x), train=True).data * weights).sum())
+
+        t = Tensor(x, requires_grad=True)
+        (blk(t, train=True) * Tensor(weights)).sum().backward()
+        assert rel_err(t.grad, finite_diff(loss, x)) < 1e-6
+        for p in blk.named_parameters():
+            if p.name == "c.bias":  # exactly zero: the norm cancels any shift
+                assert np.abs(p.grad).max() <= 1e-10 * np.abs(t.grad).max()
+            else:
+                assert rel_err(p.grad, finite_diff(loss, p.data)) < 1e-6, p.name
 
     def test_train_mode_is_the_conv_then_the_norm(self):
         rng = np.random.default_rng(14)
@@ -415,7 +451,7 @@ class TestConvBlock:
         perturb_norm(blk.norm, rng)
         x = Tensor(rng.normal(size=(4, 6, 3)))
         got = blk(x, train=True).data
-        want = ad.maxpool2d(blk.norm(ad.conv2d_3x3(x, blk.weight, blk.bias)), (2, 2)).data
+        want = ad.maxpool2d(norm_node(blk.norm, plain_conv(x, blk.weight, blk.bias)), (2, 2)).data
         np.testing.assert_array_equal(got, want)
 
 

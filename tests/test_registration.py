@@ -291,8 +291,8 @@ class TestNetwork:
         assert 0 < recorded[0] <= 10, recorded[0]
 
     def test_train_forward_node_count(self, monkeypatch):
-        # A4's config, a forward with its loss (148 calls per scene): the
-        # pose loss and each SharedMlp layer with its norm are one node too
+        # A4's config, a forward with its loss (142 calls per scene): the
+        # pose loss and each layer with its norm, conv or linear, are one node
         cfg = desk_config()
         cfg.image_strides = ((2, 2), (2, 2), (1, 1))
         net = R.RegistrationNet(cfg, seed=0)
@@ -305,7 +305,7 @@ class TestNetwork:
         for s, geo in zip(scenes, geos):
             coarse, fine = net(s.cloud, s.image, s.K, train=True, rng=rng, geometry=geo)
             total_loss(coarse, fine, s.gt_pose.inverse(), LossParams())
-        assert 0 < made[0] <= 150 * len(scenes), made[0]
+        assert 0 < made[0] <= 147 * len(scenes), made[0]
 
     def test_gradients_reach_every_parameter(self):
         cfg = desk_config()

@@ -1,6 +1,9 @@
-"""Shared test helpers: finite-difference gradient checking."""
+"""Shared test helpers: finite-difference gradient checking, a plain conv."""
 
 import numpy as np
+
+import im2pc.autodiff as ad
+import im2pc.nn_blocks as nn
 
 
 def finite_diff(fn, x: np.ndarray, h=1e-5) -> np.ndarray:
@@ -22,6 +25,12 @@ def finite_diff(fn, x: np.ndarray, h=1e-5) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def plain_conv(x, w, b):
+    """The 3x3 conv of x by w, plus b, with no norm: the layer node on x's
+    im2col columns."""
+    return ad.conv2d_3x3(x, w, lambda im2col: nn.layer(x, w, b, im2col=im2col))
 
 
 def random_rotation(rng) -> np.ndarray:
